@@ -70,11 +70,3 @@ def test_backends_agree_on_infeasibility(benchmark):
     highs, bnb = benchmark(run_both)
     assert highs.status is MapStatus.INFEASIBLE
     assert bnb.status is MapStatus.INFEASIBLE
-
-
-def test_presolve_toggle(benchmark, fabric_2x2):
-    mapper = ILPMapper(ILPMapperOptions(backend="highs", use_presolve=True))
-    result = benchmark.pedantic(
-        lambda: mapper.map(tiny_dfg(), fabric_2x2), rounds=1, iterations=1
-    )
-    assert result.status is MapStatus.MAPPED

@@ -2,10 +2,11 @@
 
 Two analysis surfaces, one subsystem:
 
-* :mod:`repro.analyze.model_audit` — structural audit of a *built*
-  :class:`repro.ilp.model.Model` (dead variables, tautological/duplicate
-  rows, conditioning, fast infeasibility witnesses, IIS-lite) plus a
-  pre-formulation capacity screen over a (DFG, MRRG) instance;
+* :mod:`repro.analyze.model_audit` — structural audit of a *compiled*
+  :class:`repro.ilp.standard_form.StandardForm` (dead variables,
+  tautological/duplicate rows, conditioning, fast infeasibility
+  witnesses, IIS-lite) plus a pre-formulation capacity screen over a
+  (DFG, MRRG) instance;
 * :mod:`repro.analyze.lint` — project-specific AST lint rules over the
   ``repro`` source tree (nondeterministic set iteration in emission
   code, float equality in solver code, swallowed exceptions,
@@ -53,9 +54,7 @@ from .model_audit import (  # noqa: E402,F401
     AuditReport,
     IISResult,
     audit_form,
-    audit_model,
     first_witness,
-    iis_lite,
     iis_lite_form,
     screen_instance,
 )
@@ -71,14 +70,12 @@ __all__ = [
     "LintFinding",
     "MIIReport",
     "audit_form",
-    "audit_model",
     "check_finding",
     "check_findings",
     "compute_mii",
     "finding_from_dict",
     "first_bound_witness",
     "first_witness",
-    "iis_lite",
     "iis_lite_form",
     "lint_file",
     "lint_paths",

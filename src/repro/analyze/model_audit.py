@@ -3,9 +3,10 @@
 The paper's Table 2 verdicts are only as trustworthy as the formulation
 handed to the solver, and modeling bugs are silent: a dead variable or a
 tautological row does not crash anything, it just changes what "optimal"
-or "infeasible" means.  This module inspects a compiled
-:class:`repro.ilp.standard_form.StandardForm` *without solving it* —
-:func:`audit_model` is a thin wrapper that compiles first — and reports:
+or "infeasible" means.  :func:`audit_form` inspects a compiled
+:class:`repro.ilp.standard_form.StandardForm` *without solving it* (compile
+a model first with :func:`repro.ilp.standard_form.compile_model`) and
+reports:
 
 * **M001 dead-variable** — a variable appearing in no constraint and no
   objective term (typically a pruning bug: the variable was emitted but
@@ -45,9 +46,9 @@ unwinnable solver calls):
   multiplier-capable units);
 * **S003 value-capacity** — more routed values than routing resources.
 
-Finally, :func:`iis_lite` / :func:`iis_lite_form` is a deletion-filter
-that narrows a proven infeasible instance to a small conflicting row
-subset, reported by the constraint-family labels used in
+Finally, :func:`iis_lite_form` is a deletion-filter that narrows a
+proven infeasible compiled form to a small conflicting row subset,
+reported by the constraint-family labels used in
 :func:`repro.mapper.ilp_mapper.build_formulation` (``placement``,
 ``fanout``, ``mux_excl``...), so an unexpected INFEASIBLE can be traced
 to the constraint families that actually clash.
@@ -63,8 +64,7 @@ import numpy as np
 
 from ..dfg.graph import DFG
 from ..ilp.expr import Sense
-from ..ilp.model import Model
-from ..ilp.standard_form import StandardForm, compile_model
+from ..ilp.standard_form import StandardForm
 from ..mrrg.graph import MRRG
 
 #: Human-readable one-liners per rule (rendered by reports and docs).
@@ -123,7 +123,7 @@ class CoefficientStats:
 
 @dataclasses.dataclass
 class AuditReport:
-    """Outcome of :func:`audit_form` / :func:`audit_model`.
+    """Outcome of :func:`audit_form`.
 
     Attributes:
         model_name: name of the audited model.
@@ -338,19 +338,6 @@ def audit_form(
     )
 
 
-def audit_model(
-    model: Model,
-    conditioning_threshold: float = 1e8,
-    tol: float = 1e-9,
-) -> AuditReport:
-    """Audit a built model (compiles, then delegates to :func:`audit_form`)."""
-    return audit_form(
-        compile_model(model),
-        conditioning_threshold=conditioning_threshold,
-        tol=tol,
-    )
-
-
 # ----------------------------------------------------------------------
 # Pre-formulation instance screen
 # ----------------------------------------------------------------------
@@ -481,64 +468,6 @@ def _default_form_oracle(form: StandardForm) -> bool:
     return solution.status is SolveStatus.INFEASIBLE
 
 
-def _deletion_filter(
-    num_rows: int,
-    labels: Sequence[str],
-    check: Callable[[list[int]], bool],
-    max_solves: int,
-    refine_limit: int,
-) -> tuple[list[int], int, bool] | None:
-    """Shared family-then-row deletion filter over abstract row indices.
-
-    ``check(keep)`` must return True iff the restriction to ``keep`` is
-    proven infeasible, and is charged against ``max_solves``.
-    """
-    solves = 0
-
-    def charged_check(keep: list[int]) -> bool:
-        nonlocal solves
-        solves += 1
-        return check(keep)
-
-    current = list(range(num_rows))
-    if not charged_check(current):
-        return None
-
-    # Family-level pass, in first-appearance order.
-    families: list[str] = []
-    rows_of: dict[str, list[int]] = {}
-    for i in range(num_rows):
-        family = constraint_family(labels[i], i)
-        if family not in rows_of:
-            rows_of[family] = []
-            families.append(family)
-        rows_of[family].append(i)
-
-    for family in families:
-        if solves >= max_solves:
-            break
-        drop = set(rows_of[family])
-        trial = [i for i in current if i not in drop]
-        if trial and charged_check(trial):
-            current = trial
-
-    # Per-constraint refinement.
-    minimal = False
-    if len(current) <= refine_limit:
-        minimal = True
-        for i in list(current):
-            if i not in current:
-                continue
-            if solves >= max_solves:
-                minimal = False
-                break
-            trial = [j for j in current if j != i]
-            if trial and charged_check(trial):
-                current = trial
-
-    return current, solves, minimal
-
-
 def iis_lite_form(
     form: StandardForm,
     is_infeasible: Callable[[StandardForm], bool] | None = None,
@@ -567,80 +496,55 @@ def iis_lite_form(
         begin with (nothing to explain).
     """
     oracle = is_infeasible or _default_form_oracle
+    num_rows = form.num_rows
     labels = [
         form.row_labels[i] if form.row_labels is not None else ""
-        for i in range(form.num_rows)
+        for i in range(num_rows)
     ]
-    outcome = _deletion_filter(
-        form.num_rows,
-        labels,
-        lambda keep: oracle(_subform(form, keep)),
-        max_solves,
-        refine_limit,
-    )
-    if outcome is None:
+    solves = 0
+
+    def check(keep: list[int]) -> bool:
+        """True iff the restriction to ``keep`` is proven infeasible."""
+        nonlocal solves
+        solves += 1
+        return oracle(_subform(form, keep))
+
+    current = list(range(num_rows))
+    if not check(current):
         return None
-    current, solves, minimal = outcome
-    names = [labels[i] or f"#{i}" for i in current]
-    kept_families = sorted({constraint_family(labels[i], i) for i in current})
-    return IISResult(
-        constraints=names,
-        families=kept_families,
-        solves=solves,
-        minimal=minimal,
-    )
 
+    # Family-level pass, in first-appearance order.
+    families: list[str] = []
+    rows_of: dict[str, list[int]] = {}
+    for i in range(num_rows):
+        family = constraint_family(labels[i], i)
+        if family not in rows_of:
+            rows_of[family] = []
+            families.append(family)
+        rows_of[family].append(i)
 
-def _submodel(model: Model, keep: Sequence[int]) -> Model:
-    """Feasibility-only copy of ``model`` restricted to ``keep`` rows."""
-    sub = Model(f"{model.name}.iis")
-    clones = [
-        sub.add_var(v.name, v.lb, v.ub, v.vtype) for v in model.variables
-    ]
-    for i in keep:
-        constraint = model.constraints[i]
-        sub.add_terms(
-            [
-                (clones[idx], coeff)
-                for idx, coeff in sorted(constraint.expr.terms.items())
-            ],
-            constraint.sense,
-            constraint.rhs,
-            constraint.name,
-        )
-    sub.minimize(0.0)
-    return sub
+    for family in families:
+        if solves >= max_solves:
+            break
+        drop = set(rows_of[family])
+        trial = [i for i in current if i not in drop]
+        if trial and check(trial):
+            current = trial
 
+    # Per-constraint refinement.
+    minimal = False
+    if len(current) <= refine_limit:
+        minimal = True
+        for i in list(current):
+            if i not in current:
+                continue
+            if solves >= max_solves:
+                minimal = False
+                break
+            trial = [j for j in current if j != i]
+            if trial and check(trial):
+                current = trial
 
-def iis_lite(
-    model: Model,
-    is_infeasible: Callable[[Model], bool] | None = None,
-    max_solves: int = 64,
-    refine_limit: int = 40,
-) -> IISResult | None:
-    """Model-level entry point; see :func:`iis_lite_form`.
-
-    With the default oracle the model is compiled once and the filter
-    runs natively on the form; a custom model-based oracle keeps the
-    original submodel-per-check behavior.
-    """
-    if is_infeasible is None:
-        return iis_lite_form(
-            compile_model(model),
-            max_solves=max_solves,
-            refine_limit=refine_limit,
-        )
-    labels = [c.name for c in model.constraints]
-    outcome = _deletion_filter(
-        len(labels),
-        labels,
-        lambda keep: is_infeasible(_submodel(model, keep)),
-        max_solves,
-        refine_limit,
-    )
-    if outcome is None:
-        return None
-    current, solves, minimal = outcome
     names = [labels[i] or f"#{i}" for i in current]
     kept_families = sorted({constraint_family(labels[i], i) for i in current})
     return IISResult(

@@ -545,7 +545,8 @@ def _cmd_analyze_bounds(args) -> int:
 
 
 def _cmd_analyze_model(args) -> int:
-    from .analyze import audit_model, first_witness, iis_lite
+    from .analyze import audit_form, first_witness, iis_lite_form
+    from .ilp import compile_model
     from .mapper.ilp_mapper import build_formulation
 
     dfg = kernel(args.benchmark)
@@ -563,12 +564,13 @@ def _cmd_analyze_model(args) -> int:
     if formulation.infeasible_reason is not None:
         print(f"infeasible during formulation: {formulation.infeasible_reason}")
         return 1
-    report = audit_model(formulation.model)
+    form = compile_model(formulation.model)
+    report = audit_form(form)
     print(report.summary())
     for finding in report.findings:
         print(f"  {finding.format()}")
     if args.iis:
-        iis = iis_lite(formulation.model)
+        iis = iis_lite_form(form)
         if iis is None:
             print("IIS: model is feasible at the LP/presolve level")
         else:

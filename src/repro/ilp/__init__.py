@@ -7,24 +7,18 @@ equivalent substrate without external solvers: a modeling layer
 matrix standard form, a HiGHS backend through
 :func:`scipy.optimize.milp`, and a from-scratch branch-and-bound solver
 for cross-checking and full inspectability.  Presolve and the backends
-operate natively on :class:`StandardForm`, so a formulation is compiled
-once and shared across audit and solve stages.
+take only a :class:`StandardForm`: a model is compiled once with
+:func:`compile_model` and the form is shared across audit and solve
+stages.
 """
 
 from .blocks import BlockEmitter, BlockError, BlockInfo, RowBlock, VarBlock
-from .bnb import solve_bnb, solve_bnb_form
+from .bnb import solve_bnb_form
 from .expr import Constraint, LinExpr, Sense, Var, VarType, lin_sum
-from .highs_backend import solve_highs, solve_highs_form
+from .highs_backend import solve_highs_form
 from .model import Model, ModelError, ModelStats
-from .presolve import (
-    FormPresolveResult,
-    PresolveResult,
-    presolve,
-    presolve_form,
-    solve_form_with_presolve,
-    solve_with_presolve,
-)
-from .solve import BACKENDS, solve, solve_form
+from .presolve import FormPresolveResult, presolve_form, solve_form_with_presolve
+from .solve import BACKENDS, solve_form
 from .standard_form import StandardForm, compile_model
 from .status import Solution, SolveStatus
 
@@ -39,7 +33,6 @@ __all__ = [
     "Model",
     "ModelError",
     "ModelStats",
-    "PresolveResult",
     "RowBlock",
     "Sense",
     "Solution",
@@ -50,14 +43,9 @@ __all__ = [
     "VarType",
     "compile_model",
     "lin_sum",
-    "presolve",
     "presolve_form",
-    "solve",
-    "solve_bnb",
     "solve_bnb_form",
     "solve_form",
     "solve_form_with_presolve",
-    "solve_highs",
     "solve_highs_form",
-    "solve_with_presolve",
 ]

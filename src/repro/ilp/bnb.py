@@ -26,8 +26,7 @@ import time
 import numpy as np
 from scipy import optimize
 
-from .model import Model
-from .standard_form import StandardForm, compile_model
+from .standard_form import StandardForm
 from .status import Solution, SolveStatus
 
 _INT_TOL = 1e-6
@@ -41,16 +40,6 @@ class _Node:
     lb: np.ndarray = dataclasses.field(compare=False)
     ub: np.ndarray = dataclasses.field(compare=False)
     depth: int = dataclasses.field(compare=False, default=0)
-
-
-def solve_bnb(
-    model: Model,
-    time_limit: float | None = None,
-    node_limit: int | None = None,
-) -> Solution:
-    """Solve a model with the pure-Python branch-and-bound solver."""
-    form = compile_model(model)
-    return solve_bnb_form(form, time_limit=time_limit, node_limit=node_limit)
 
 
 def solve_bnb_form(
@@ -132,7 +121,7 @@ def solve_bnb_form(
             candidate = x.copy()
             candidate[int_mask] = np.round(candidate[int_mask])
             obj = float(c @ candidate)
-            if obj < incumbent_obj - 1e-9 and _is_feasible(form, candidate):
+            if obj < incumbent_obj - 1e-9 and form.is_feasible(candidate):
                 incumbent_obj, incumbent_x = obj, candidate
             continue
 
@@ -172,20 +161,9 @@ def _round_heuristic(
     candidate = x.copy()
     candidate[int_mask] = np.round(candidate[int_mask])
     candidate = np.clip(candidate, form.var_lb, form.var_ub)
-    if _is_feasible(form, candidate):
+    if form.is_feasible(candidate):
         return candidate
     return None
-
-
-def _is_feasible(form: StandardForm, x: np.ndarray, tol: float = 1e-6) -> bool:
-    if np.any(x < form.var_lb - tol) or np.any(x > form.var_ub + tol):
-        return False
-    if form.num_rows:
-        ax = form.A @ x
-        if np.any(ax < form.row_lb - tol) or np.any(ax > form.row_ub + tol):
-            return False
-    ints = form.integrality == 1
-    return bool(np.all(np.abs(x[ints] - np.round(x[ints])) <= tol))
 
 
 def _finish(

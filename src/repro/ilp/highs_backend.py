@@ -13,8 +13,7 @@ import time
 import numpy as np
 from scipy import optimize
 
-from .model import Model
-from .standard_form import StandardForm, compile_model
+from .standard_form import StandardForm
 from .status import Solution, SolveStatus
 
 # scipy.optimize.milp status codes -> our statuses.  Code 1 is
@@ -28,17 +27,17 @@ _STATUS_BY_CODE = {
 }
 
 
-def solve_highs(
-    model: Model,
+def solve_highs_form(
+    form: StandardForm,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
     node_limit: int | None = None,
     presolve: bool = True,
 ) -> Solution:
-    """Solve a model with HiGHS.
+    """Solve a compiled :class:`StandardForm` with HiGHS.
 
     Args:
-        model: the MILP to solve.
+        form: the MILP to solve.
         time_limit: wall-clock budget in seconds (None = unlimited).
         mip_rel_gap: relative optimality gap at which to stop; e.g. 1.0
             effectively turns the solve into a feasibility check once an
@@ -51,24 +50,6 @@ def solve_highs(
         is downgraded to ``FEASIBLE`` (a usable mapping without an
         optimality proof).
     """
-    form = compile_model(model)
-    return solve_highs_form(
-        form,
-        time_limit=time_limit,
-        mip_rel_gap=mip_rel_gap,
-        node_limit=node_limit,
-        presolve=presolve,
-    )
-
-
-def solve_highs_form(
-    form: StandardForm,
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-    node_limit: int | None = None,
-    presolve: bool = True,
-) -> Solution:
-    """Solve an already-compiled :class:`StandardForm` with HiGHS."""
     options: dict[str, object] = {"presolve": presolve}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)

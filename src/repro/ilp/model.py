@@ -1,8 +1,9 @@
 """MILP model container.
 
 A :class:`Model` owns variables, constraints and an objective.  It is
-backend-independent; ``repro.ilp.solve`` dispatches it to a concrete solver
-(HiGHS via SciPy, or the pure-Python branch-and-bound in ``repro.ilp.bnb``).
+backend-independent: ``compile_model`` lowers it to a ``StandardForm``,
+which ``repro.ilp.solve`` dispatches to a concrete solver (HiGHS via SciPy,
+or the pure-Python branch-and-bound in ``repro.ilp.bnb``).
 
 Rows can be added through two surfaces:
 

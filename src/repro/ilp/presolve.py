@@ -1,8 +1,8 @@
 """Lightweight presolve, operating natively on :class:`StandardForm`.
 
 Implements the reductions that matter for the CGRA mapping formulation,
-where many binaries are fixed by legality constraints (constraint (3) of
-the paper emits ``F_{p,q} = 0`` rows):
+where many binaries are fixed by legality constraints (the paper's
+constraint (3) is a family of ``F_{p,q} = 0`` rows):
 
 * **singleton rows**: a constraint over one variable tightens its bounds;
 * **fixed variables**: variables with ``lb == ub`` are substituted out;
@@ -10,12 +10,12 @@ the paper emits ``F_{p,q} = 0`` rows):
 * **forcing rows**: a ``<= 0`` (or ``== 0``) row whose coefficients are all
   positive over nonnegative variables fixes all of them to zero.
 
-Reductions iterate to a fixed point.  :func:`presolve_form` is the core:
-it screens candidate rows with vectorized activity arithmetic (one sparse
-matvec per round for fixed-variable contributions, one pattern matvec for
-per-row live-variable counts) and only walks the flagged rows in Python.
-:func:`presolve` wraps it for `Model` callers, rebuilding a reduced model
-from the reduced form so the original API is unchanged.
+Reductions iterate to a fixed point.  :func:`presolve_form` screens
+candidate rows with vectorized activity arithmetic (one sparse matvec per
+round for fixed-variable contributions, one pattern matvec for per-row
+live-variable counts) and only walks the flagged rows in Python.
+:func:`solve_form_with_presolve` presolves, hands the reduced form to a
+backend and lifts the answer back to the original variables.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .expr import LinExpr, Sense, VarType
-from .model import Model
-from .standard_form import StandardForm, compile_model
+from .standard_form import StandardForm
 from .status import Solution, SolveStatus
 
 _TOL = 1e-9
@@ -187,132 +185,8 @@ def presolve_form(form: StandardForm, max_rounds: int = 25) -> FormPresolveResul
     return FormPresolveResult(reduced, fixed, keep_cols, keep_rows, False)
 
 
-@dataclasses.dataclass
-class PresolveResult:
-    """Outcome of presolving a model (compatibility wrapper).
-
-    Attributes:
-        model: reduced model (None when presolve already decided the
-            instance, e.g. proven infeasible).
-        fixed: original-var-index -> value for substituted variables.
-        index_map: reduced-var-index -> original-var-index.
-        infeasible: True when presolve proved infeasibility.
-        objective_offset: constant contributed by fixed variables
-            (in the model's own objective sense).
-    """
-
-    model: Model | None
-    fixed: dict[int, float]
-    index_map: dict[int, int]
-    infeasible: bool
-    objective_offset: float
-
-    def lift(self, solution: Solution) -> Solution:
-        """Translate a reduced-space solution back to the original space."""
-        if not solution.status.has_solution:
-            return solution
-        values = dict(self.fixed)
-        for reduced_idx, value in solution.values.items():
-            values[self.index_map[reduced_idx]] = value
-        objective = solution.objective
-        if objective is not None:
-            objective += self.objective_offset
-        return dataclasses.replace(solution, values=values, objective=objective)
-
-
-def _sense_of(row_lb: float, row_ub: float) -> tuple[Sense, float]:
-    if row_lb == row_ub:
-        return Sense.EQ, row_ub
-    if math.isinf(row_lb):
-        return Sense.LE, row_ub
-    return Sense.GE, row_lb
-
-
-def presolve(model: Model, max_rounds: int = 25) -> PresolveResult:
-    """Presolve a model: compile, reduce the form, rebuild a reduced model."""
-    form = compile_model(model)
-    result = presolve_form(form, max_rounds=max_rounds)
-    if result.infeasible:
-        return PresolveResult(None, {}, {}, True, 0.0)
-    reduced_form = result.form
-    assert reduced_form is not None
-
-    original_vars = model.variables
-    reduced = Model(f"{model.name}.presolved")
-    index_map: dict[int, int] = {}
-    for new_idx, orig_idx in enumerate(result.index_map):
-        orig = original_vars[int(orig_idx)]
-        new_var = reduced.add_var(
-            orig.name,
-            float(reduced_form.var_lb[new_idx]),
-            float(reduced_form.var_ub[new_idx]),
-            orig.vtype,
-        )
-        index_map[new_var.index] = int(orig_idx)
-
-    ra = reduced_form.A
-    for r in range(reduced_form.num_rows):
-        span = slice(ra.indptr[r], ra.indptr[r + 1])
-        pairs = [
-            (reduced.variables[int(col)], float(coeff))
-            for col, coeff in zip(ra.indices[span], ra.data[span])
-        ]
-        sense, rhs = _sense_of(
-            float(reduced_form.row_lb[r]), float(reduced_form.row_ub[r])
-        )
-        name = reduced_form.row_labels[r] if reduced_form.row_labels else ""
-        reduced.add_terms(pairs, sense, rhs, name)
-
-    # Reduced-form c is in min space; un-negate for a maximizing model.
-    sign = -1.0 if form.maximize else 1.0
-    obj_pairs = [
-        (reduced.variables[j], sign * float(coeff))
-        for j, coeff in enumerate(reduced_form.c)
-        if coeff != 0.0
-    ]
-    objective = LinExpr.from_terms(obj_pairs)
-    if model.objective_sense == "max":
-        reduced.maximize(objective)
-    else:
-        reduced.minimize(objective)
-
-    # The reduced model's objective has no constant: the form's c0 (fixed
-    # contribution + original constant) becomes the lift offset, reported
-    # in the model's own sense.
-    offset = sign * reduced_form.c0
-    return PresolveResult(reduced, result.fixed, index_map, False, offset)
-
-
-def solve_with_presolve(model: Model, solve_fn) -> Solution:
-    """Presolve, delegate to ``solve_fn(reduced_model)``, lift the result."""
-    result = presolve(model)
-    if result.infeasible:
-        return Solution(status=SolveStatus.INFEASIBLE, backend="presolve",
-                        message="proven infeasible in presolve")
-    assert result.model is not None
-    if not result.model.variables:
-        # Presolve fixed everything; re-check the complete assignment
-        # against the *original* model rather than trusting bookkeeping.
-        if model.check_assignment(result.fixed):
-            return Solution(
-                status=SolveStatus.INFEASIBLE,
-                backend="presolve",
-                message="proven infeasible in presolve (fixed point check)",
-            )
-        return result.lift(
-            Solution(
-                status=SolveStatus.OPTIMAL,
-                objective=0.0,
-                backend="presolve",
-                message="fully solved in presolve",
-            )
-        )
-    solution = solve_fn(result.model)
-    return result.lift(solution)
-
-
 def solve_form_with_presolve(form: StandardForm, solve_fn) -> Solution:
-    """Form-level analogue of :func:`solve_with_presolve`.
+    """Presolve, delegate to ``solve_fn(reduced_form)``, lift the result.
 
     ``solve_fn`` receives the reduced form; its reported objective is
     already in original terms because the reduced ``c0`` absorbs the
@@ -325,6 +199,16 @@ def solve_form_with_presolve(form: StandardForm, solve_fn) -> Solution:
     reduced = result.form
     assert reduced is not None
     if reduced.num_vars == 0:
+        # Presolve fixed everything, possibly with rows still open when
+        # the round budget ran out; re-check the complete assignment
+        # against the *original* form rather than trusting bookkeeping.
+        x = np.array([result.fixed[j] for j in range(form.num_vars)])
+        if not form.is_feasible(x):
+            return Solution(
+                status=SolveStatus.INFEASIBLE,
+                backend="presolve",
+                message="proven infeasible in presolve (fixed point check)",
+            )
         return result.lift(
             Solution(
                 status=SolveStatus.OPTIMAL,

@@ -1,59 +1,14 @@
-"""Backend dispatch for solving ILP models and compiled forms."""
+"""Backend dispatch for solving compiled forms."""
 
 from __future__ import annotations
 
-from .bnb import solve_bnb, solve_bnb_form
-from .highs_backend import solve_highs, solve_highs_form
-from .model import Model
-from .presolve import solve_form_with_presolve, solve_with_presolve
+from .bnb import solve_bnb_form
+from .highs_backend import solve_highs_form
+from .presolve import solve_form_with_presolve
 from .standard_form import StandardForm
 from .status import Solution
 
 BACKENDS = ("highs", "bnb")
-
-
-def solve(
-    model: Model,
-    backend: str = "highs",
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-    node_limit: int | None = None,
-    use_presolve: bool = False,
-) -> Solution:
-    """Solve ``model`` with the selected backend.
-
-    Args:
-        model: MILP to solve.
-        backend: ``"highs"`` (SciPy/HiGHS, the Gurobi stand-in) or
-            ``"bnb"`` (the repo's own branch-and-bound).
-        time_limit: wall-clock budget in seconds.
-        mip_rel_gap: relative gap stop (HiGHS only; 1.0 ~= feasibility mode).
-        node_limit: branch-and-bound node budget.
-        use_presolve: run :mod:`repro.ilp.presolve` before the backend and
-            lift the solution back (HiGHS has its own presolve; this flag
-            exercises ours, and is the default for the ``bnb`` backend's
-            callers in the mapper).
-
-    Raises:
-        ValueError: for an unknown backend name.
-    """
-    if backend == "highs":
-        def run(m: Model) -> Solution:
-            return solve_highs(
-                m,
-                time_limit=time_limit,
-                mip_rel_gap=mip_rel_gap,
-                node_limit=node_limit,
-            )
-    elif backend == "bnb":
-        def run(m: Model) -> Solution:
-            return solve_bnb(m, time_limit=time_limit, node_limit=node_limit)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-
-    if use_presolve:
-        return solve_with_presolve(model, run)
-    return run(model)
 
 
 def solve_form(
@@ -64,12 +19,22 @@ def solve_form(
     node_limit: int | None = None,
     use_presolve: bool = False,
 ) -> Solution:
-    """Solve an already-compiled :class:`StandardForm`.
+    """Solve a compiled :class:`StandardForm` with the selected backend.
 
-    The mapper pipeline compiles once and reuses the form across the
-    audit and (portfolio) backend stages, so this is the hot entry point;
-    :func:`solve` remains the convenience wrapper for model callers.
-    Arguments match :func:`solve`.
+    Callers compile a model once with
+    :func:`~repro.ilp.standard_form.compile_model` and share the form
+    across the audit and (portfolio) backend stages.
+
+    Args:
+        form: MILP to solve.
+        backend: ``"highs"`` (SciPy/HiGHS, the Gurobi stand-in) or
+            ``"bnb"`` (the repo's own branch-and-bound).
+        time_limit: wall-clock budget in seconds.
+        mip_rel_gap: relative gap stop (HiGHS only; 1.0 ~= feasibility mode).
+        node_limit: branch-and-bound node budget.
+        use_presolve: run :mod:`repro.ilp.presolve` before the backend and
+            lift the solution back (HiGHS has its own presolve; the
+            IIS-lite oracle runs ours first).
 
     Raises:
         ValueError: for an unknown backend name.

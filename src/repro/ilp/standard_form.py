@@ -22,8 +22,7 @@ un-negates the reported objective).
 The compiled form carries optional diagnostic metadata — per-row labels,
 per-variable names, and :class:`~repro.ilp.blocks.BlockInfo` spans for
 family-tagged row blocks — which ``repro.ilp.presolve`` and
-``repro.analyze.model_audit`` consume natively (they no longer need the
-originating ``Model``).
+``repro.analyze.model_audit`` consume.
 """
 
 from __future__ import annotations
@@ -114,6 +113,17 @@ class StandardForm:
         """Convert the minimized objective back to the model's sense."""
         value = raw + self.c0
         return -value if self.maximize else value
+
+    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
+        """True when ``x`` satisfies every bound, row and integrality."""
+        if np.any(x < self.var_lb - tol) or np.any(x > self.var_ub + tol):
+            return False
+        if self.num_rows:
+            ax = self.A @ x
+            if np.any(ax < self.row_lb - tol) or np.any(ax > self.row_ub + tol):
+                return False
+        ints = self.integrality == 1
+        return bool(np.all(np.abs(x[ints] - np.round(x[ints])) <= tol))
 
 
 def compile_model(model: Model) -> StandardForm:

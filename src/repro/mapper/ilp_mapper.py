@@ -16,8 +16,7 @@ are documented in DESIGN.md section 5.
 Implementation notes:
 
 * ``F`` variables are only created for legal (p, q) pairs, which realizes
-  constraint (3) *Functional Unit Legality* by omission; an option emits
-  the explicit ``F = 0`` rows for fidelity/ablation.
+  constraint (3) *Functional Unit Legality* by omission.
 * Per-value variable pruning: value ``j`` can only occupy route nodes
   forward-reachable from a candidate producer output and
   backward-reachable from a legal terminal of one of its sinks.
@@ -79,15 +78,12 @@ class ILPMapperOptions:
             formulation).  False = Example 3's unsound whole-value mode.
         mux_exclusivity: emit constraint (9).  False reproduces Example
             2's self-reinforcing loop pathology.
-        explicit_legality: also emit paper constraint (3) as explicit
-            ``F = 0`` rows over the full (p, q) grid.
         use_blocks: emit constraint rows through the blockwise API
             (compiled O(nnz) lowering).  False keeps the legacy
             per-``LinExpr`` emission — same formulation modulo row
             order, preserved for benchmarking and equivalence tests.
         mip_rel_gap: relative gap stop for HiGHS (e.g. 1.0 to accept the
             first incumbent when only feasibility matters).
-        use_presolve: run ``repro.ilp.presolve`` before the backend.
         verify_result: run the independent legality verifier on every
             extracted mapping and fail loudly on violations.
         pre_audit: run the :mod:`repro.analyze` capacity screen before
@@ -119,10 +115,8 @@ class ILPMapperOptions:
     collapse_single_sink: bool = True
     split_sub_values: bool = True
     mux_exclusivity: bool = True
-    explicit_legality: bool = False
     use_blocks: bool = True
     mip_rel_gap: float | None = None
-    use_presolve: bool = False
     verify_result: bool = True
     pre_audit: bool = True
     bounds_screen: bool = True
@@ -151,7 +145,6 @@ class ILPMapperOptions:
             self.collapse_single_sink,
             self.split_sub_values,
             self.mux_exclusivity,
-            self.explicit_legality,
             self.use_blocks,
             self.require_registered_feedback,
         )
@@ -302,10 +295,14 @@ def build_formulation(
     for producer, sinks in sinks_of.items():
         for snk in sinks:
             op = dfg.op(snk.op)
+            # ``x op x`` keeps its ports pinned: both sub-values carry the
+            # same value, so a swap gains nothing, and a free choice would
+            # let both routes end on one port (no operand matching).
             allow_swap = (
                 options.operand_mode == "commutative"
                 and op.opcode.is_commutative
                 and op.opcode.arity == 2
+                and len(set(op.operands)) == 2
             )
             ports: dict[str, str] = {}  # port node id -> owning FU node id
             for fu in candidates[snk.op]:
@@ -353,23 +350,6 @@ def build_formulation(
         f_keys.extend((fu.node_id, op_name) for fu in fus)
     f_block, f_list = model.add_var_block("F", f_keys)
     f_vars: dict[tuple[str, str], Var] = dict(zip(f_keys, f_list))
-
-    if options.explicit_legality:
-        # Paper constraint (3) in explicit form over the full grid.
-        legality = _BlockWriter(model) if options.use_blocks else None
-        for op in dfg.ops:
-            legal = {fu.node_id for fu in candidates[op.name]}
-            for fu in mrrg.function_nodes():
-                if fu.node_id in legal:
-                    continue
-                var = model.add_binary(f"F[{fu.node_id}][{op.name}]")
-                if legality is not None:
-                    legality("fu_legality").sorted_row(
-                        (var.index,), (1.0,), Sense.EQ, 0.0, "fu_legality"
-                    )
-                else:
-                    model.add_terms([(var, 1.0)], Sense.EQ, 0.0, "fu_legality")
-                f_vars[(fu.node_id, op.name)] = var
 
     # Emission order note: `usable`/`usable3`/`reach` are plain sets, and
     # variable/constraint order is part of the model identity (solver
@@ -522,9 +502,8 @@ def _emit_rows_blockwise(
     """Emit constraints (1)-(9) and objective (10) through row blocks.
 
     Works entirely on integer column indices: variable blocks are
-    contiguous and created in a known order (F, then explicit-legality
-    extras, then R, then R3), so every constraint family either knows its
-    column order statically (two-term rows, contiguous placement ranges —
+    contiguous and created in a known order (F, then R, then R3), so
+    every constraint family either knows its column order statically (two-term rows, contiguous placement ranges —
     ``sorted_row``) or sorts a short pair list (``pairs_row``).  Row
     order matches ``_emit_rows_legacy`` exactly.
     """
@@ -986,14 +965,6 @@ def _objective_expr(model, r_vars, weight_fn, mrrg):
     return LinExpr.from_terms(pairs)
 
 
-def _forward_route_reach(mrrg: MRRG, starts: set[str]) -> set[str]:
-    return _route_reach(starts, mrrg.route_fanouts)
-
-
-def _backward_route_reach(mrrg: MRRG, starts: set[str]) -> set[str]:
-    return _route_reach(starts, mrrg.route_fanins)
-
-
 class ILPMapper(Mapper):
     """Maps a DFG onto an MRRG by solving the section-4 ILP.
 
@@ -1156,7 +1127,6 @@ class ILPMapper(Mapper):
             backend=opts.backend,
             time_limit=opts.time_limit,
             mip_rel_gap=opts.mip_rel_gap,
-            use_presolve=opts.use_presolve,
         )
         self._emit(
             "solve",

@@ -48,7 +48,6 @@ def find_min_ii(
     architecture: Module,
     max_ii: int = 4,
     mapper_factory: Callable[[], Mapper] | None = None,
-    prune_mrrg: bool = True,
     bounds_screen: bool = True,
     telemetry=None,
 ) -> IISearchResult:
@@ -72,7 +71,6 @@ def find_min_ii(
         max_ii: largest initiation interval to try.
         mapper_factory: creates the mapper per attempt (defaults to the
             ILP mapper in feasibility mode with a 120 s budget).
-        prune_mrrg: drop dead routing resources before mapping.
         bounds_screen: skip IIs the bounds prover certifies infeasible.
         telemetry: optional event bus forwarded to the sweep engine.
 
@@ -88,7 +86,6 @@ def find_min_ii(
     sweep = IISweep(
         dfg,
         architecture,
-        prune_mrrg=prune_mrrg,
         bounds_screen=bounds_screen,
         telemetry=telemetry,
     )

@@ -147,7 +147,6 @@ class IISweep:
     Args:
         dfg: the kernel to map.
         architecture: the spatial architecture module.
-        prune_mrrg: drop dead routing resources before mapping.
         mrrg_factory: override the per-architecture MRRG factory (e.g.
             to share it across sweeps of different kernels).
         form_cache: override the formulation cache (e.g. the service
@@ -164,14 +163,12 @@ class IISweep:
         self,
         dfg: DFG,
         architecture: Module,
-        prune_mrrg: bool = True,
         mrrg_factory: MRRGFactory | None = None,
         form_cache: FormulationCache | None = None,
         bounds_screen: bool = True,
         telemetry=None,
     ):
         self.dfg = dfg
-        self.prune_mrrg = prune_mrrg
         self.mrrg_factory = mrrg_factory or MRRGFactory(architecture)
         self.form_cache = form_cache or FormulationCache()
         self.bounds_screen = bounds_screen
@@ -179,7 +176,7 @@ class IISweep:
 
     def mrrg(self, ii: int) -> MRRG:
         """The memoized (pruned) MRRG at ``ii`` contexts."""
-        return self.mrrg_factory.mrrg(ii, prune=self.prune_mrrg)
+        return self.mrrg_factory.mrrg(ii, prune=True)
 
     def screen(self, ii: int) -> SweepAttempt | None:
         """Run the bounds prover at ``ii``; a refutation becomes a

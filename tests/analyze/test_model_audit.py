@@ -3,20 +3,21 @@
 import pytest
 
 from repro.analyze import (
-    audit_model,
+    audit_form,
     first_witness,
-    iis_lite,
+    iis_lite_form,
     screen_instance,
 )
 from repro.dfg import DFGBuilder
 from repro.ilp.expr import Sense
 from repro.ilp.model import Model
+from repro.ilp.standard_form import compile_model
 from repro.mapper.base import MapStatus
 from repro.mapper.ilp_mapper import ILPMapper, ILPMapperOptions
 
 
 # ----------------------------------------------------------------------
-# audit_model on hand-built models
+# audit_form on hand-built models
 # ----------------------------------------------------------------------
 def test_duplicate_row_and_dead_variable_flagged():
     model = Model("handmade")
@@ -27,7 +28,7 @@ def test_duplicate_row_and_dead_variable_flagged():
     model.add_terms([(y, 1.0), (x, 1.0)], Sense.LE, 1.0, name="second")
     model.minimize(0.0)
 
-    report = audit_model(model)
+    report = audit_form(compile_model(model))
     assert "M001" in report.rules()
     assert "M004" in report.rules()
     dead = report.by_rule("M001")
@@ -43,7 +44,7 @@ def test_clean_model_has_no_findings():
     y = model.add_binary("y")
     model.add_terms([(x, 1.0), (y, 1.0)], Sense.LE, 1.0, name="cap")
     model.minimize(x + y)
-    report = audit_model(model)
+    report = audit_form(compile_model(model))
     assert report.findings == []
     assert report.ok
 
@@ -52,7 +53,7 @@ def test_integer_hole_bounds_are_fatal():
     model = Model("hole")
     v = model.add_integer("v", lb=0.4, ub=0.6)  # no integer point inside
     model.add_terms([(v, 1.0)], Sense.LE, 5.0, name="row")
-    report = audit_model(model)
+    report = audit_form(compile_model(model))
     fatal = report.fatal
     assert fatal is not None and fatal.rule == "M005"
 
@@ -63,7 +64,7 @@ def test_activity_range_detects_unsatisfiable_row():
     y = model.add_binary("y")
     # max(x + y) = 2 < 3: the row can never be satisfied.
     model.add_terms([(x, 1.0), (y, 1.0)], Sense.GE, 3.0, name="impossible")
-    report = audit_model(model)
+    report = audit_form(compile_model(model))
     fatal = report.fatal
     assert fatal is not None and fatal.rule == "M006"
 
@@ -74,7 +75,7 @@ def test_tautological_row_is_flagged_not_fatal():
     y = model.add_binary("y")
     model.add_terms([(x, 1.0), (y, 1.0)], Sense.LE, 5.0, name="slack")
     model.add_terms([(x, 1.0)], Sense.GE, 0.5, name="binding")
-    report = audit_model(model)
+    report = audit_form(compile_model(model))
     assert [f.rule for f in report.by_rule("M003")] == ["M003"]
     assert report.fatal is None
 
@@ -84,7 +85,7 @@ def test_conditioning_warning():
     x = model.add_continuous("x", lb=0.0, ub=1.0)
     y = model.add_continuous("y", lb=0.0, ub=1.0)
     model.add_terms([(x, 1e-6), (y, 1e6)], Sense.LE, 1.0, name="spread")
-    report = audit_model(model, conditioning_threshold=1e8)
+    report = audit_form(compile_model(model), conditioning_threshold=1e8)
     assert "M007" in report.rules()
     assert report.coefficients is not None
     assert report.coefficients.ratio == pytest.approx(1e12)
@@ -153,7 +154,7 @@ def _conflicting_model() -> Model:
 
 
 def test_iis_lite_narrows_to_the_conflict():
-    result = iis_lite(_conflicting_model())
+    result = iis_lite_form(compile_model(_conflicting_model()))
     assert result is not None
     assert set(result.families) == {"cap", "demand"}
     assert len(result.constraints) == 2
@@ -165,7 +166,7 @@ def test_iis_lite_returns_none_on_feasible_model():
     x = model.add_continuous("x", lb=0.0, ub=1.0)
     model.add_terms([(x, 1.0)], Sense.LE, 1.0, name="row")
     model.minimize(0.0)
-    assert iis_lite(model) is None
+    assert iis_lite_form(compile_model(model)) is None
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,16 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.ilp import Model, Sense, SolveStatus, lin_sum, solve_bnb, solve_highs
+from repro.ilp import (
+    Model,
+    Sense,
+    SolveStatus,
+    compile_model,
+    lin_sum,
+    solve_bnb_form,
+    solve_form_with_presolve,
+    solve_highs_form,
+)
 
 
 @st.composite
@@ -40,8 +49,9 @@ def random_binary_programs(draw) -> Model:
 @given(random_binary_programs())
 @settings(max_examples=40, deadline=None)
 def test_backends_agree(model):
-    highs = solve_highs(model)
-    bnb = solve_bnb(model)
+    form = compile_model(model)
+    highs = solve_highs_form(form)
+    bnb = solve_bnb_form(form)
     assert highs.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
     assert bnb.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
     assert highs.status == bnb.status
@@ -54,10 +64,9 @@ def test_backends_agree(model):
 @given(random_binary_programs())
 @settings(max_examples=25, deadline=None)
 def test_presolve_preserves_verdict(model):
-    from repro.ilp import solve_with_presolve
-
-    direct = solve_highs(model)
-    lifted = solve_with_presolve(model, solve_highs)
+    form = compile_model(model)
+    direct = solve_highs_form(form)
+    lifted = solve_form_with_presolve(form, solve_highs_form)
     assert direct.status == lifted.status
     if direct.status is SolveStatus.OPTIMAL:
         assert abs(direct.objective - lifted.objective) < 1e-6
@@ -83,7 +92,7 @@ def test_brute_force_agreement(model):
             best = min(best, value)
         else:
             best = max(best, value)
-    solution = solve_highs(model)
+    solution = solve_highs_form(compile_model(model))
     if best is None:
         assert solution.status is SolveStatus.INFEASIBLE
     else:

@@ -6,7 +6,7 @@ feasibility and on optimal objective values.
 
 import pytest
 
-from repro.ilp import Model, SolveStatus, solve
+from repro.ilp import Model, SolveStatus, compile_model, solve_form
 
 BACKENDS = ("highs", "bnb")
 
@@ -21,7 +21,7 @@ class TestBasicSolves:
         m = Model("t")
         x = m.add_binary("x")
         m.add(x >= 1)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.value_int(x) == 1
 
@@ -31,7 +31,7 @@ class TestBasicSolves:
         a, b, c = (m.add_binary(n) for n in "abc")
         m.add(a + b + c <= 2)
         m.maximize(10 * a + 6 * b + 4 * c)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(16.0)
         assert solution.is_set(a) and solution.is_set(b)
@@ -43,7 +43,7 @@ class TestBasicSolves:
         y = m.add_integer("y", 0, 10)
         m.add(2 * x + 3 * y <= 12)
         m.maximize(x + 2 * y)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(8.0)  # x=0, y=4
 
@@ -52,7 +52,7 @@ class TestBasicSolves:
         x = m.add_binary("x")
         m.add(x >= 1)
         m.add(x <= 0)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.INFEASIBLE
         assert solution.status.is_proof
 
@@ -63,7 +63,7 @@ class TestBasicSolves:
         m.add(x + y == 10)
         m.add(x - y == 4)
         m.minimize(x)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.value_int(x) == 7
         assert solution.value_int(y) == 3
@@ -84,7 +84,7 @@ class TestBasicSolves:
         for j in range(3):
             m.add(lin_sum(x[(i, j)] for i in range(3)) == 1)
         m.minimize(lin_sum(costs[i][j] * x[(i, j)] for i in range(3) for j in range(3)))
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         # Best permutation: (0,0)=1, (1,1)=2, (2,2)=7 (or the 1+6+3 tie).
         assert solution.objective == pytest.approx(10.0)
@@ -95,7 +95,7 @@ class TestBasicSolves:
         y = m.add_continuous("y", 0, 5)
         m.add(x + y <= 4.5)
         m.maximize(2 * x + y)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.value_int(x) == 4
         assert solution.value(y) == pytest.approx(0.5)
@@ -108,7 +108,7 @@ class TestBasicSolves:
         m.add(lin_sum(xs) == 3)
         for a, b in zip(xs, xs[1:]):
             m.add(a + b <= 1)
-        solution = solve(m, backend=backend)
+        solution = solve_form(compile_model(m), backend=backend)
         assert solution.status is SolveStatus.OPTIMAL
         assert m.check_assignment(solution.values) == []
 
@@ -122,28 +122,28 @@ class TestBnbSpecifics:
         # A problem needing some branching.
         m.add(lin_sum(3 * x for x in xs) <= 17)
         m.maximize(lin_sum((i % 5 + 1) * x for i, x in enumerate(xs)))
-        from repro.ilp import solve_bnb
+        from repro.ilp import solve_bnb_form
 
-        solution = solve_bnb(m, node_limit=1)
+        solution = solve_bnb_form(compile_model(m), node_limit=1)
         assert solution.status in (SolveStatus.FEASIBLE, SolveStatus.TIMEOUT)
 
     def test_unbounded_detection(self):
         m = Model("unbounded")
         x = m.add_integer("x", 0, float("inf"))
         m.maximize(x)
-        from repro.ilp import solve_bnb
+        from repro.ilp import solve_bnb_form
 
-        solution = solve_bnb(m)
+        solution = solve_bnb_form(compile_model(m))
         assert solution.status is SolveStatus.UNBOUNDED
 
     def test_reports_node_count(self):
         m = Model("nodes")
         xs = [m.add_binary(f"x{i}") for i in range(8)]
-        from repro.ilp import lin_sum, solve_bnb
+        from repro.ilp import lin_sum, solve_bnb_form
 
         m.add(lin_sum(2 * x for x in xs) <= 7)
         m.maximize(lin_sum(x for x in xs))
-        solution = solve_bnb(m)
+        solution = solve_bnb_form(compile_model(m))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.nodes >= 1
 
@@ -153,7 +153,7 @@ class TestHighsSpecifics:
         m = Model("t")
         x = m.add_binary("x")
         m.add(x >= 1)
-        solution = solve(m, backend="highs", time_limit=10.0)
+        solution = solve_form(compile_model(m), backend="highs", time_limit=10.0)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.wall_time < 10.0
 
@@ -161,4 +161,4 @@ class TestHighsSpecifics:
         m = Model("t")
         m.add_binary("x")
         with pytest.raises(ValueError, match="unknown backend"):
-            solve(m, backend="cplex")
+            solve_form(compile_model(m), backend="cplex")

@@ -85,3 +85,11 @@ def test_empty_model_compiles():
     form = compile_model(m)
     assert form.num_rows == 0
     assert form.num_vars == 1
+
+
+def test_is_feasible_checks_bounds_rows_and_integrality():
+    form = compile_model(small_model())
+    assert form.is_feasible(np.array([0.0, 1.0, 2.0]))
+    assert not form.is_feasible(np.array([0.0, -1.0, 2.0]))  # y < lb only
+    assert not form.is_feasible(np.array([1.0, 0.0, 2.0]))  # c2 only
+    assert not form.is_feasible(np.array([0.0, 0.5, 2.0]))  # integrality only

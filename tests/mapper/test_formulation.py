@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dfg import DFGBuilder, OpCode
-from repro.ilp import Sense
 from repro.mapper import ILPMapperOptions, build_formulation
 
 from .helpers import MRRGCraft, mrrg_c
@@ -49,16 +48,6 @@ class TestVariableCreation:
     def test_constraint_3_realized_by_omission(self, add_dfg):
         f = build_formulation(add_dfg, line_mrrg())
         assert ("alu0", "x") not in f.f_vars  # ALU cannot host INPUT
-
-    def test_explicit_legality_emits_zero_rows(self, add_dfg):
-        options = ILPMapperOptions(explicit_legality=True)
-        f = build_formulation(add_dfg, line_mrrg(), options)
-        assert ("alu0", "x") in f.f_vars
-        legality_rows = [
-            c for c in f.model.constraints if c.name == "fu_legality"
-        ]
-        assert legality_rows
-        assert all(c.sense is Sense.EQ and c.rhs == 0.0 for c in legality_rows)
 
     def test_single_sink_collapse_reduces_variables(self, add_dfg):
         collapsed = build_formulation(

@@ -99,7 +99,6 @@ def test_block_path_preserves_exact_row_order():
         {"operand_mode": "commutative"},
         {"split_sub_values": False},
         {"collapse_single_sink": False},
-        {"explicit_legality": True},
         {"mux_exclusivity": False},
         {"objective": "none"},
     ],
@@ -109,8 +108,8 @@ def test_paths_agree_across_option_variants(overrides):
     """Every formulation knob hits its own emission branch; all of them
 
     must stay byte-identical between the blockwise and legacy paths —
-    including the grouped (Example 3 strawman) and explicit-legality
-    branches the default options never touch.
+    including the grouped (Example 3 strawman) branch the default
+    options never touch.
     """
     b = DFGBuilder("fan")
     x, y = b.input("x"), b.input("y")
@@ -150,7 +149,6 @@ def test_block_path_records_family_blocks():
     assert families <= {
         "placement",
         "fu_excl",
-        "fu_legality",
         "route_excl",
         "fanout",
         "implied",

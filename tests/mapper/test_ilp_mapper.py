@@ -59,13 +59,22 @@ class TestOnGrid:
         assert result.status is MapStatus.INFEASIBLE
         assert result.proven_optimal  # the verdict is a proof
 
-    def test_second_context_doubles_capacity(self, mrrg_2x2_ii2):
+    def test_second_context_doubles_capacity(self, mrrg_2x2_ii1, mrrg_2x2_ii2):
+        # 5 adds > 4 ALUs per context, as above, but as a reduction tree:
+        # only ALU results cross contexts (through the block register), so
+        # the adds can split over two contexts.  Pads hold no value, so
+        # adds sharing an input share its context; the chain above cannot
+        # split and stays infeasible at II=2.
         b = DFGBuilder("big")
         xs = [b.input(f"x{i}") for i in range(6)]
-        level = [b.add(xs[i], xs[i + 1], name=f"a{i}") for i in range(5)]
-        for i, node in enumerate(level):
-            b.output(node, name=f"o{i}")
-        result = ILPMapper().map(b.build(), mrrg_2x2_ii2)
+        a0 = b.add(xs[0], xs[1], name="a0")
+        a1 = b.add(xs[2], xs[3], name="a1")
+        a2 = b.add(a0, a1, name="a2")
+        a3 = b.add(a2, xs[4], name="a3")
+        b.output(b.add(a3, xs[5], name="a4"), name="o")
+        dfg = b.build()
+        assert ILPMapper().map(dfg, mrrg_2x2_ii1).status is MapStatus.INFEASIBLE
+        result = ILPMapper(ILPMapperOptions(time_limit=120)).map(dfg, mrrg_2x2_ii2)
         assert result.status is MapStatus.MAPPED
 
     def test_heterogeneous_multiplier_limit(self, mrrg_2x2_hetero_ii1):
@@ -90,9 +99,9 @@ class TestOnGrid:
         assert bnb.objective == pytest.approx(highs.objective)
         assert verify(bnb.mapping) == []
 
-    def test_feasibility_mode_returns_usable_mapping(self, mrrg_2x2_ii1):
+    def test_feasibility_mode_returns_usable_mapping(self, mrrg_3x3_ii1):
         result = ILPMapper(ILPMapperOptions(mip_rel_gap=1.0)).map(
-            conv_2x2_f(), mrrg_2x2_ii1
+            conv_2x2_f(), mrrg_3x3_ii1
         )
         assert result.status is MapStatus.MAPPED
         assert verify(result.mapping) == []

@@ -80,7 +80,7 @@ class TestFormulationCache:
         assert len(cache) == 2
         # Solver-only knob -> same entry.
         ILPMapper(
-            fast_options(backend="bnb", use_presolve=True), form_cache=cache
+            fast_options(backend="bnb"), form_cache=cache
         ).map(tiny_dfg, mrrg)
         assert len(cache) == 2
         assert cache.hits == 1

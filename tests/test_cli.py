@@ -77,6 +77,19 @@ class TestCommands:
 
         parse_architecture(out)  # must be valid ADL
 
+    def test_analyze_model_audits_and_narrows_iis(self, capsys):
+        # 2x2-f has five ALU ops and the 2x2 grid four ALUs; the
+        # S-screen misses it, so the formulation is built, audited and
+        # narrowed to its conflicting constraint families.
+        assert main(
+            ["analyze", "model", "2x2-f", "--rows", "2", "--cols", "2",
+             "--iis"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "clean: no findings" in out
+        assert "conflicting constraint(s)" in out
+        assert "family: placement" in out
+
     def test_map_command(self, capsys):
         code = main(
             ["map", "2x2-f", "--rows", "3", "--cols", "3",
