@@ -46,7 +46,8 @@ def _time_path(dfg, mrrg, use_blocks: bool, repeats: int) -> dict:
     best = {"build": float("inf"), "compile": float("inf"), "audit": float("inf")}
     form = None
     for _ in range(repeats):
-        options = ILPMapperOptions(use_blocks=use_blocks)
+        # The paper's formulation, as BENCH_formulation.json recorded it.
+        options = ILPMapperOptions(use_blocks=use_blocks, mip_rel_gap=1.0)
 
         start = time.perf_counter()
         formulation = build_formulation(dfg, mrrg, options)

@@ -560,7 +560,8 @@ def _cmd_analyze_model(args) -> int:
         print("(no formulation built, no solver invoked)")
         return 1
 
-    formulation = build_formulation(dfg, mrrg)
+    # Audit what ``map`` solves by default: the feasibility formulation.
+    formulation = build_formulation(dfg, mrrg, ILPMapperOptions(mip_rel_gap=1.0))
     if formulation.infeasible_reason is not None:
         print(f"infeasible during formulation: {formulation.infeasible_reason}")
         return 1

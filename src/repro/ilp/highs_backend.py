@@ -71,6 +71,20 @@ def solve_highs_form(
         bounds=bounds,
         options=options,
     )
+    if result.status == 4 and presolve:
+        # HiGHS's MIP presolve can stop with "Solve error" on a model it
+        # should settle (e.g. the infeasible binary row 3a + 3b - 2c = 2);
+        # the same model without presolve gets an exact answer.
+        options["presolve"] = False
+        if time_limit is not None:
+            options["time_limit"] = max(0.0, float(time_limit) - (time.perf_counter() - start))
+        result = optimize.milp(
+            c=form.c,
+            constraints=constraints,
+            integrality=form.integrality,
+            bounds=bounds,
+            options=options,
+        )
     elapsed = time.perf_counter() - start
 
     status = _STATUS_BY_CODE.get(result.status, SolveStatus.ERROR)

@@ -32,6 +32,10 @@ Implementation notes:
   reproduces the per-``LinExpr`` pre-refactor path (the formulation is
   identical up to a row permutation — ``scripts/bench_formulation.py``
   measures the difference).
+* A solve that must prove optimality
+  (:attr:`ILPMapperOptions.proves_optimality`) also gets arrival and
+  in-flow rows: every integer solution satisfies them, and they lift the
+  LP bound (DESIGN.md section 5.7).
 * The mapper pipeline compiles once and runs audit and solve on the
   compiled form; a :class:`~repro.mapper.sweep.FormulationCache` lets
   II sweeps and portfolio stages share the built+compiled formulation.
@@ -83,7 +87,10 @@ class ILPMapperOptions:
             per-``LinExpr`` emission — same formulation modulo row
             order, preserved for benchmarking and equivalence tests.
         mip_rel_gap: relative gap stop for HiGHS (e.g. 1.0 to accept the
-            first incumbent when only feasibility matters).
+            first incumbent when only feasibility matters).  It also
+            selects the formulation: below 1 (or None) the solve must
+            prove optimality, and :attr:`proves_optimality` adds the
+            arrival and in-flow rows that tighten the LP bound.
         verify_result: run the independent legality verifier on every
             extracted mapping and fail loudly on violations.
         pre_audit: run the :mod:`repro.analyze` capacity screen before
@@ -130,6 +137,24 @@ class ILPMapperOptions:
         if self.objective == "weighted" and self.node_weights is None:
             raise ValueError("weighted objective requires node_weights")
 
+    @property
+    def proves_optimality(self) -> bool:
+        """Whether the solve must prove an optimum (derived, read-only).
+
+        True when there is an objective, the gap stop does not accept the
+        first incumbent, and the formulation is the sound one (sub-values
+        split, constraint (9) on).  Only then does the formulation carry
+        the arrival and in-flow rows (DESIGN.md section 5.7): they are
+        valid for every integer solution and lift the LP bound, which a
+        feasibility solve never reads and pays for in row count.
+        """
+        return (
+            self.objective != "none"
+            and (self.mip_rel_gap is None or self.mip_rel_gap < 1)
+            and self.split_sub_values
+            and self.mux_exclusivity
+        )
+
     def formulation_key(self) -> tuple:
         """The options that determine the emitted formulation.
 
@@ -147,6 +172,7 @@ class ILPMapperOptions:
             self.mux_exclusivity,
             self.use_blocks,
             self.require_registered_feedback,
+            self.proves_optimality,
         )
 
 
@@ -461,7 +487,78 @@ def build_formulation(
                     "registered_feedback",
                 )
 
+    # The bound rows come after every other row, so the optimality-mode
+    # form extends the feasibility-mode one without reordering it.
+    if options.proves_optimality:
+        _emit_bound_rows(
+            model, mrrg, candidates, terminal_ports, sorted_u3, f_vars, r3_vars
+        )
     return result
+
+
+def _emit_bound_rows(
+    model: Model,
+    mrrg: MRRG,
+    candidates: dict[str, list[MRRGNode]],
+    terminal_ports: dict[tuple[str, Sink], dict[str, str]],
+    sorted_u3: dict[tuple[str, Sink], list[str]],
+    f_vars: dict[tuple[str, str], Var],
+    r3_vars: dict[tuple[str, str, Sink], Var],
+) -> None:
+    """Emit the arrival and in-flow rows (DESIGN.md section 5.7).
+
+    Every integer solution of rows (1)-(9) already satisfies them, so
+    they only cut fractional LP points.  Both emitter paths share this
+    one, after every other row, which keeps them byte-identical.
+    """
+    writer = _BlockWriter(model)
+
+    # Arrival: a sub-value ends on a terminal port of the FU hosting its
+    # sink op (with (6), an equality in strict operand mode).
+    for (producer, snk), ports in terminal_ports.items():
+        arrive: dict[str, list[tuple[int, float]]] = {}
+        for port_id, fu_id in ports.items():
+            var = r3_vars.get((port_id, producer, snk))
+            if var is not None:
+                arrive.setdefault(fu_id, []).append((var.index, 1.0))
+        for fu in candidates[snk.op]:
+            f_index = f_vars[(fu.node_id, snk.op)].index
+            label = f"arrival[{fu.node_id}][{producer}][{snk}]"
+            pairs = arrive.get(fu.node_id)
+            if pairs is None:
+                writer("arrival").sorted_row(
+                    (f_index,), (1.0,), Sense.EQ, 0.0, label
+                )
+            else:
+                writer("arrival").pairs_row(
+                    pairs + [(f_index, -1.0)], Sense.GE, 0.0, label
+                )
+
+    # In-flow: a used node with a single route fan-in is fed through it.
+    # The producer's FU, not a route node, feeds its candidate outputs;
+    # (9) already balances nodes with several fan-ins.
+    fanin_memo: dict[str, tuple[str, ...]] = {}
+    route_fanins = mrrg.route_fanins
+    for (producer, snk), nodes in sorted_u3.items():
+        outputs = {fu.output for fu in candidates[producer]}
+        for node_id in nodes:
+            if node_id in outputs:
+                continue
+            fanins = fanin_memo.get(node_id)
+            if fanins is None:
+                fanins = route_fanins(node_id)
+                fanin_memo[node_id] = fanins
+            if len(fanins) != 1:
+                continue
+            writer("inflow").pairs_row(
+                [
+                    (r3_vars[(node_id, producer, snk)].index, 1.0),
+                    (r3_vars[(fanins[0], producer, snk)].index, -1.0),
+                ],
+                Sense.LE,
+                0.0,
+                f"inflow[{node_id}][{producer}][{snk}]",
+            )
 
 
 def _register_input_nodes(mrrg: MRRG) -> frozenset[str]:

@@ -162,3 +162,12 @@ class TestHighsSpecifics:
         m.add_binary("x")
         with pytest.raises(ValueError, match="unknown backend"):
             solve_form(compile_model(m), backend="cplex")
+
+    def test_presolve_error_falls_back_to_plain_solve(self):
+        # HiGHS's presolve answers "Solve error" on this infeasible row;
+        # the backend must still return the proof.
+        m = Model("presolve_error")
+        a, b, c = (m.add_binary(n) for n in "abc")
+        m.add(3 * a + 3 * b - 2 * c == 2)
+        solution = solve_form(compile_model(m), backend="highs")
+        assert solution.status is SolveStatus.INFEASIBLE

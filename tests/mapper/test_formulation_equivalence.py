@@ -101,6 +101,7 @@ def test_block_path_preserves_exact_row_order():
         {"collapse_single_sink": False},
         {"mux_exclusivity": False},
         {"objective": "none"},
+        {"mip_rel_gap": 1.0},
     ],
     ids=lambda o: next(iter(o.items()))[0],
 )
@@ -145,7 +146,7 @@ def test_block_path_records_family_blocks():
     covered = sum(b.size for b in new.blocks)
     assert covered == new.num_rows
     families = {b.family for b in new.blocks}
-    assert "placement" in families
+    assert {"placement", "arrival", "inflow"} <= families
     assert families <= {
         "placement",
         "fu_excl",
@@ -156,4 +157,6 @@ def test_block_path_records_family_blocks():
         "unroutable",
         "usage",
         "mux_excl",
+        "arrival",
+        "inflow",
     }

@@ -85,6 +85,25 @@ class TestFormulationCache:
         assert len(cache) == 2
         assert cache.hits == 1
 
+    def test_key_separates_optimality_mode(self, tiny_dfg, fabric_2x2):
+        mrrg = prune(build_mrrg_from_module(fabric_2x2, 1))
+        cache = FormulationCache()
+        ILPMapper(fast_options(), form_cache=cache).map(tiny_dfg, mrrg)
+        # Proving optimality adds the bound rows: its own entry.
+        ILPMapper(fast_options(mip_rel_gap=None), form_cache=cache).map(
+            tiny_dfg, mrrg
+        )
+        assert len(cache) == 2
+        # Backend and budget stay solver-only on both sides of the gate.
+        ILPMapper(
+            fast_options(mip_rel_gap=None, backend="bnb"), form_cache=cache
+        ).map(tiny_dfg, mrrg)
+        ILPMapper(fast_options(time_limit=30), form_cache=cache).map(
+            tiny_dfg, mrrg
+        )
+        assert len(cache) == 2
+        assert cache.hits == 2
+
     def test_reach_cache_is_per_mrrg(self, fabric_2x2):
         cache = FormulationCache()
         mrrg1 = prune(build_mrrg_from_module(fabric_2x2, 1))
