@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 from ..mapper.base import MapResult, MapStatus
 
@@ -79,19 +80,37 @@ def save_records(records: list[RunRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[RunRecord]:
-    """Read records from JSON lines."""
-    with open(path, encoding="utf-8") as handle:
-        return [RunRecord.from_json(line) for line in handle if line.strip()]
+    """Read records from JSON lines.
+
+    A line that does not hold a record (the torn last line a sweep
+    killed mid-write leaves) is skipped, so its cell runs again.
+    """
+    records = []
+    with open(path, "rb") as handle:
+        for line in handle:
+            try:
+                records.append(RunRecord.from_json(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError):
+                continue  # JSON, UTF-8 and field errors alike
+    return records
 
 
 def append_record(record: RunRecord, path: str) -> None:
     """Append one record to a JSON-lines store, flushed immediately.
 
     The incremental write is what makes interrupted sweeps resumable:
-    every finished cell survives a kill, and a re-run skips it.
+    every finished cell survives a kill, and a re-run skips it.  When a
+    kill left a torn last line, the record starts on a new line rather
+    than being glued to the fragment.
     """
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(record.to_json() + "\n")
+    line = record.to_json().encode("utf-8") + b"\n"
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
         handle.flush()
 
 

@@ -6,8 +6,17 @@ request.  Append-only means a crashed writer can at worst leave one
 truncated trailing line (skipped on read) and repeated stores of the
 same fingerprint are resolved last-writer-wins, without any locking —
 which suits the single-process, single-CPU deployment this repo targets.
-No SQLite, no index files: a shard scan is O(entries with the same
-leading byte), tiny next to a solver call.
+
+Lookups go through an in-memory offset index, one per shard: it maps
+each fingerprint to the byte offset of its latest valid line.  A shard's
+index is built the first time the shard is read (never at construction)
+and afterwards decodes only the complete lines appended since the last
+read, so a hit decodes one line and a miss decodes none.  The shard is
+indexed afresh when it shrank, when its inode changed, or when the line
+at a stored offset no longer carries the fingerprint asked for; its file
+size and inode are all the invalidation reads, never a clock.  The
+memory cost is one offset per stored fingerprint of the shards read so
+far; no index file is written, so the on-disk format is the shards alone.
 
 Entries round-trip :mod:`repro.mapper.serialize` mapping payloads, so a
 cache hit reconstructs the *same verdict and mapping* the original solve
@@ -18,15 +27,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from ..dfg.graph import DFG
 from ..mapper.base import MapResult, MapStatus
 from ..mapper.serialize import (
     MappingFormatError,
-    mapping_from_json,
-    mapping_to_json,
+    mapping_from_payload,
+    mapping_to_payload,
 )
 from ..mrrg.graph import MRRG
 
@@ -73,13 +83,26 @@ class CacheEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "CacheEntry":
+        """Parse one stored line.
+
+        Raises:
+            json.JSONDecodeError: when the line is not JSON.
+            CacheError: when it is JSON but not a current-version entry.
+        """
         payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise CacheError(
+                f"cache entry is a JSON {type(payload).__name__}, not an object"
+            )
         if payload.pop("version", None) != ENTRY_VERSION:
             raise CacheError("unsupported cache entry version")
         try:
-            return cls(**payload)
+            entry = cls(**payload)
         except TypeError as exc:
             raise CacheError(f"malformed cache entry: {exc}") from None
+        if not isinstance(entry.fingerprint, str):
+            raise CacheError("cache entry fingerprint is not a string")
+        return entry
 
 
 def entry_from_result(
@@ -88,7 +111,7 @@ def entry_from_result(
     """Freeze a finished :class:`MapResult` into a cache entry."""
     mapping_payload = None
     if result.mapping is not None:
-        mapping_payload = json.loads(mapping_to_json(result.mapping))
+        mapping_payload = mapping_to_payload(result.mapping)
     return CacheEntry(
         fingerprint=fingerprint,
         status=result.status.value,
@@ -118,7 +141,7 @@ def result_from_entry(entry: CacheEntry, dfg: DFG, mrrg: MRRG) -> MapResult:
     mapping = None
     if entry.mapping is not None:
         try:
-            mapping = mapping_from_json(json.dumps(entry.mapping), dfg, mrrg)
+            mapping = mapping_from_payload(entry.mapping, dfg, mrrg)
         except MappingFormatError as exc:
             raise CacheError(f"cached mapping does not load: {exc}") from None
     return MapResult(
@@ -133,6 +156,68 @@ def result_from_entry(entry: CacheEntry, dfg: DFG, mrrg: MRRG) -> MapResult:
     )
 
 
+@dataclasses.dataclass
+class _ShardIndex:
+    """Where each fingerprint's latest valid line starts in one shard.
+
+    Attributes:
+        inode: inode of the shard file the offsets point into.
+        end: byte offset just past the last complete line read.
+        offsets: fingerprint -> byte offset of its latest valid line.
+    """
+
+    inode: int
+    end: int = 0
+    offsets: dict[str, int] = dataclasses.field(default_factory=dict)
+
+
+def _decode(line: bytes) -> CacheEntry | None:
+    """The entry one stored line holds; None for a blank, torn, non-UTF-8,
+    non-object or foreign-version line."""
+    if not line.strip():
+        return None
+    try:
+        return CacheEntry.from_json(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, CacheError):
+        return None
+
+
+def _read_shard(handle: BinaryIO, index: _ShardIndex) -> list[CacheEntry]:
+    """Every valid entry on the complete lines past ``index.end``, in
+    file order, recording each one's offset in ``index``.
+
+    The one reader of shard files.  Each line is decoded on its own, so
+    a corrupt line costs only itself.  A last line without its newline
+    may still be being written: it is left for a later read.
+    """
+    entries = []
+    offset = index.end
+    handle.seek(offset)
+    for line in handle:
+        if not line.endswith(b"\n"):
+            break
+        entry = _decode(line)
+        if entry is not None:
+            index.offsets[entry.fingerprint] = offset
+            entries.append(entry)
+        offset += len(line)
+    index.end = offset
+    return entries
+
+
+def _entry_at(
+    handle: BinaryIO, offset: int | None, fingerprint: str
+) -> CacheEntry | None:
+    """The entry for ``fingerprint`` on the line at ``offset``, or None."""
+    if offset is None:
+        return None
+    handle.seek(offset)
+    entry = _decode(handle.readline())
+    if entry is None or entry.fingerprint != fingerprint:
+        return None
+    return entry
+
+
 class MappingCache:
     """The on-disk store (see module docstring for the layout)."""
 
@@ -140,29 +225,44 @@ class MappingCache:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
+        self._indexes: dict[Path, _ShardIndex] = {}
 
     def _shard(self, fingerprint: str) -> Path:
         if len(fingerprint) < 2:
             raise CacheError(f"fingerprint {fingerprint!r} too short")
         return self.objects_dir / f"{fingerprint[:2]}.jsonl"
 
+    def _index(self, shard: Path, handle: BinaryIO) -> _ShardIndex:
+        """The shard's index, caught up with the open file first."""
+        status = os.fstat(handle.fileno())
+        index = self._indexes.get(shard)
+        if (
+            index is None
+            or index.inode != status.st_ino
+            or status.st_size < index.end
+        ):
+            index = self._indexes[shard] = _ShardIndex(inode=status.st_ino)
+        if status.st_size > index.end:
+            _read_shard(handle, index)
+        return index
+
     def get(self, fingerprint: str) -> CacheEntry | None:
         """Latest entry for ``fingerprint``, or None."""
         shard = self._shard(fingerprint)
-        if not shard.exists():
+        try:
+            handle = open(shard, "rb")
+        except FileNotFoundError:
+            self._indexes.pop(shard, None)
             return None
-        found: CacheEntry | None = None
-        with open(shard, encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    entry = CacheEntry.from_json(line)
-                except (json.JSONDecodeError, CacheError):
-                    continue  # truncated/foreign line: ignore
-                if entry.fingerprint == fingerprint:
-                    found = entry  # last writer wins
-        return found
+        with handle:
+            offset = self._index(shard, handle).offsets.get(fingerprint)
+            entry = _entry_at(handle, offset, fingerprint)
+            if offset is not None and entry is None:
+                # The line moved: the shard was rewritten in place.
+                del self._indexes[shard]
+                offset = self._index(shard, handle).offsets.get(fingerprint)
+                entry = _entry_at(handle, offset, fingerprint)
+        return entry
 
     def put(self, entry: CacheEntry) -> None:
         shard = self._shard(entry.fingerprint)
@@ -173,18 +273,16 @@ class MappingCache:
         return self.get(fingerprint) is not None
 
     def entries(self) -> list[CacheEntry]:
-        """All readable entries across shards (latest per fingerprint)."""
+        """All readable entries across shards (latest per fingerprint).
+
+        Reading a shard in full also (re)builds its index."""
         latest: dict[str, CacheEntry] = {}
         for shard in sorted(self.objects_dir.glob("*.jsonl")):
-            with open(shard, encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = CacheEntry.from_json(line)
-                    except (json.JSONDecodeError, CacheError):
-                        continue
+            with open(shard, "rb") as handle:
+                index = _ShardIndex(inode=os.fstat(handle.fileno()).st_ino)
+                for entry in _read_shard(handle, index):
                     latest[entry.fingerprint] = entry
+            self._indexes[shard] = index
         return list(latest.values())
 
     def __len__(self) -> int:

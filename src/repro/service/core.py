@@ -109,6 +109,10 @@ class MappingService:
     def mrrg_for(self, arch: Module, contexts: int) -> MRRG:
         """The pruned MRRG for an architecture, memoized in-process."""
         arch_fp = fingerprint_document(canonical_module(arch))
+        return self._mrrg(arch, arch_fp, contexts)
+
+    def _mrrg(self, arch: Module, arch_fp: str, contexts: int) -> MRRG:
+        """:meth:`mrrg_for` once the architecture's hash is known."""
         key = (arch_fp, contexts)
         if key not in self._mrrgs:
             factory = self._factories.get(arch_fp)
@@ -126,12 +130,15 @@ class MappingService:
 
     def map_request(self, request: MapRequest) -> ServiceResult:
         """Serve one job: cache lookup, then the portfolio on a miss."""
+        # One canonical document keys both the request and the MRRG memo.
+        arch_doc = canonical_module(request.arch)
         fingerprint = fingerprint_request(
-            request.arch,
+            arch_doc,
             request.dfg,
             request.contexts,
             self.portfolio.describe(),
         )
+        arch_fp = fingerprint_document(arch_doc)
         self.bus.emit(
             "request",
             label=request.label or request.dfg.name,
@@ -141,7 +148,7 @@ class MappingService:
         if self.cache is not None:
             entry = self.cache.get(fingerprint)
             if entry is not None:
-                mrrg = self.mrrg_for(request.arch, request.contexts)
+                mrrg = self._mrrg(request.arch, arch_fp, request.contexts)
                 try:
                     result = result_from_entry(entry, request.dfg, mrrg)
                 except CacheError as exc:
@@ -166,7 +173,7 @@ class MappingService:
             else:
                 self.bus.emit("cache-miss", fingerprint=fingerprint)
 
-        mrrg = self.mrrg_for(request.arch, request.contexts)
+        mrrg = self._mrrg(request.arch, arch_fp, request.contexts)
         outcome = run_portfolio(
             request.dfg, mrrg, self.portfolio, telemetry=self.bus
         )

@@ -120,7 +120,7 @@ def canonical_module(top: Module) -> dict[str, Any]:
 # Request fingerprint
 # ----------------------------------------------------------------------
 def fingerprint_request(
-    arch: Module,
+    arch: Module | dict[str, Any],
     dfg: DFG,
     contexts: int,
     config: dict[str, Any] | None = None,
@@ -128,7 +128,10 @@ def fingerprint_request(
     """Content hash of one mapping request.
 
     Args:
-        arch: top module of the target architecture.
+        arch: top module of the target architecture, or its
+            :func:`canonical_module` document when the caller already
+            holds it (the service reuses one for its MRRG memo key); both
+            give the same hash.
         dfg: the application graph.
         contexts: MRRG context count (the initiation interval).
         config: JSON-able mapper/portfolio configuration description
@@ -143,7 +146,7 @@ def fingerprint_request(
         {
             "version": 2,
             "analyze_ruleset": RULESET_VERSION,
-            "arch": canonical_module(arch),
+            "arch": canonical_module(arch) if isinstance(arch, Module) else arch,
             "dfg": canonical_dfg(dfg),
             "contexts": contexts,
             "config": config or {},

@@ -145,6 +145,49 @@ def test_sweep_resumes_from_store(tmp_path, tiny_mrrgs):
     assert len(again) == 2
 
 
+def test_sweep_resumes_after_a_torn_last_line(tmp_path, tiny_mrrgs):
+    """A sweep killed mid-write leaves half a record: the resume skips it,
+    runs that cell again and stores it on a line of its own."""
+    from repro.explore import load_records
+    from repro.mapper.greedy_mapper import GreedyMapper, GreedyMapperOptions
+
+    calls = []
+
+    def counting_factory(config):
+        calls.append(1)
+        return GreedyMapper(
+            GreedyMapperOptions(seed=7, restarts=6, time_limit=30)
+        )
+
+    store = tmp_path / "records.jsonl"
+    config = SweepConfig(
+        benchmarks=("accum", "2x2-f"),
+        architectures=TINY_ARCHS[:1],
+        rows=3,
+        cols=3,
+    )
+
+    def sweep():
+        return run_sweep(
+            config,
+            mapper_factory=counting_factory,
+            mapper_name="greedy",
+            mrrgs=tiny_mrrgs,
+            store_path=str(store),
+        )
+
+    sweep()
+    data = store.read_bytes()
+    store.write_bytes(data[: len(data) - 10])
+    assert [r.benchmark for r in load_records(str(store))] == ["accum"]
+
+    records = sweep()
+    assert len(calls) == 3  # two cells, then the torn one again
+    assert [r.benchmark for r in records] == ["accum", "2x2-f"]
+    cells = [r.cell for r in load_records(str(store))]
+    assert sorted(cells) == sorted(r.cell for r in records)
+
+
 def test_sweep_routes_through_service(tmp_path):
     from repro.service import MappingService, PortfolioConfig, single_stage
 

@@ -1,5 +1,9 @@
 """End-to-end service behaviour: caching, telemetry, degradation."""
 
+import dataclasses
+
+import pytest
+
 from repro.arch import GridSpec, build_grid
 from repro.dfg import DFGBuilder
 from repro.mapper import MapStatus
@@ -24,6 +28,27 @@ def _tiny(name="tiny"):
     x, y = b.input("x"), b.input("y")
     b.output(b.add(x, y, name="s"), name="o")
     return b.build()
+
+
+def _for_probe(mapping):
+    return dict(mapping, dfg="probe")
+
+
+#: Stored mappings the probe request cannot load, by what is wrong.
+STALE_SHAPES = {
+    "other-dfg": lambda m: m,
+    "payload-list": lambda m: [_for_probe(m)],
+    "placement-list": lambda m: dict(
+        _for_probe(m), placement=sorted(m["placement"].items())
+    ),
+    "nodes-int": lambda m: dict(
+        _for_probe(m), routes=[dict(m["routes"][0], nodes=7)]
+    ),
+    "node-object": lambda m: dict(
+        _for_probe(m),
+        routes=[dict(m["routes"][0], nodes=[{"id": m["routes"][0]["nodes"][0]}])],
+    ),
+}
 
 
 def _greedy_portfolio():
@@ -87,19 +112,23 @@ class TestCaching:
         served = other.map_request(MapRequest(_tiny(), _arch(), contexts=1))
         assert not served.cache_hit
 
-    def test_stale_entry_degrades_to_miss_and_resolves(self, tmp_path):
+    @pytest.mark.parametrize("shape", sorted(STALE_SHAPES))
+    def test_stale_entry_degrades_to_miss_and_resolves(self, tmp_path, shape):
         service = MappingService(
             portfolio=_greedy_portfolio(), cache_dir=tmp_path / "cache"
         )
-        # Seed the store with a mapping for a *different* DFG under the
-        # fingerprint the probe request will look up.
+        # Seed the store with a mapping that does not load for the probe
+        # request under the fingerprint the probe will look up.
         donor = service.map_request(MapRequest(_tiny(), _arch(), contexts=1))
         assert donor.result.status is MapStatus.MAPPED
         probe_fp = fingerprint_request(
             _arch(), _tiny("probe"), 1, service.portfolio.describe()
         )
+        stored = entry_from_result(probe_fp, donor.result, stage="greedy")
         service.cache.put(
-            entry_from_result(probe_fp, donor.result, stage="greedy")
+            dataclasses.replace(
+                stored, mapping=STALE_SHAPES[shape](stored.mapping)
+            )
         )
 
         served = service.map_request(
@@ -112,6 +141,15 @@ class TestCaching:
             if "stale entry" in e.fields.get("reason", "")
         ]
         assert stale
+        # Re-solved and re-stored: the next identical request is a hit.
+        assert [
+            e for e in service.log.of_kind("cache-store")
+            if e.fields["fingerprint"] == probe_fp
+        ]
+        again = service.map_request(
+            MapRequest(_tiny("probe"), _arch(), contexts=1)
+        )
+        assert again.cache_hit
 
     def test_indefinite_verdicts_are_not_cached(self, tmp_path):
         fabric = build_grid(
