@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 
+from ..jsonl import append_line
 from ..mapper.base import MapResult, MapStatus
 
 
@@ -103,15 +103,7 @@ def append_record(record: RunRecord, path: str) -> None:
     kill left a torn last line, the record starts on a new line rather
     than being glued to the fragment.
     """
-    line = record.to_json().encode("utf-8") + b"\n"
-    with open(path, "a+b") as handle:
-        end = handle.seek(0, os.SEEK_END)
-        if end:
-            handle.seek(end - 1)
-            if handle.read(1) != b"\n":
-                line = b"\n" + line
-        handle.write(line)
-        handle.flush()
+    append_line(path, record.to_json())
 
 
 def fraction_within(records: list[RunRecord], seconds: float) -> float:

@@ -18,9 +18,8 @@ alternative:
   coalesced, zero-free triplets to its block.
 
 ``compile_model`` lowers row blocks with ``np.asarray`` + concatenation —
-O(nnz) NumPy assembly with no per-row dict walks — while legacy per-row
-constraints keep their original object-walking path, so the two can be
-benchmarked against each other (``scripts/bench_formulation.py``).
+O(nnz) NumPy assembly with no per-row dict walks — while per-row
+constraints keep their object-walking path.
 
 Row order is part of the model identity (solver search paths depend on
 it), so blocks record rows strictly in emission order and the owning

@@ -14,10 +14,9 @@ un-negates the reported objective).
 * **row blocks** (from ``Model.add_rows``) are already flat sorted
   triplets — compilation is O(nnz) array conversion plus one global
   concatenation, with no per-row Python work;
-* **legacy constraints** (from ``Model.add`` / ``Model.add_terms``) keep
-  the original per-``LinExpr`` dict walk, preserved both for
-  compatibility and so ``scripts/bench_formulation.py`` can measure the
-  blockwise path against the pre-refactor cost honestly.
+* **per-row constraints** (from ``Model.add`` / ``Model.add_terms``:
+  the mapper's registered-feedback rows and hand-built models) keep the
+  per-``LinExpr`` dict walk.
 
 The compiled form carries optional diagnostic metadata — per-row labels,
 per-variable names, and :class:`~repro.ilp.blocks.BlockInfo` spans for

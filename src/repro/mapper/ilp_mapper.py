@@ -26,12 +26,11 @@ Implementation notes:
 * ``split_sub_values=False`` reproduces the paper's Example 3 strawman
   (routing whole values instead of sub-values) — an unsound formulation
   whose wrong mappings our independent verifier catches.
-* Rows are emitted through the blockwise API (``Model.add_rows``) by
-  default, grouped per constraint family, so compilation to
-  ``StandardForm`` is O(nnz) array assembly; ``use_blocks=False``
-  reproduces the per-``LinExpr`` pre-refactor path (the formulation is
-  identical up to a row permutation — ``scripts/bench_formulation.py``
-  measures the difference).
+* Rows are emitted through the blockwise API (``Model.add_rows``),
+  grouped per constraint family, so compilation to ``StandardForm`` is
+  O(nnz) array assembly.  Row order is part of the model's identity (it
+  steers the solver's search path); golden digests of the compiled form
+  pin it (``tests/mapper/test_formulation_digests.py``).
 * A solve that must prove optimality
   (:attr:`ILPMapperOptions.proves_optimality`) also gets arrival and
   in-flow rows: every integer solution satisfies them, and they lift the
@@ -82,10 +81,6 @@ class ILPMapperOptions:
             formulation).  False = Example 3's unsound whole-value mode.
         mux_exclusivity: emit constraint (9).  False reproduces Example
             2's self-reinforcing loop pathology.
-        use_blocks: emit constraint rows through the blockwise API
-            (compiled O(nnz) lowering).  False keeps the legacy
-            per-``LinExpr`` emission — same formulation modulo row
-            order, preserved for benchmarking and equivalence tests.
         mip_rel_gap: relative gap stop for HiGHS (e.g. 1.0 to accept the
             first incumbent when only feasibility matters).  It also
             selects the formulation: below 1 (or None) the solve must
@@ -122,7 +117,6 @@ class ILPMapperOptions:
     collapse_single_sink: bool = True
     split_sub_values: bool = True
     mux_exclusivity: bool = True
-    use_blocks: bool = True
     mip_rel_gap: float | None = None
     verify_result: bool = True
     pre_audit: bool = True
@@ -170,7 +164,6 @@ class ILPMapperOptions:
             self.collapse_single_sink,
             self.split_sub_values,
             self.mux_exclusivity,
-            self.use_blocks,
             self.require_registered_feedback,
             self.proves_optimality,
         )
@@ -250,11 +243,10 @@ class Formulation:
 class _BlockWriter:
     """Hands out block emitters, one fresh block per family switch.
 
-    A new block is opened whenever the constraint family changes, so the
-    global row order is *identical* to the legacy per-``LinExpr`` path —
-    the compiled :class:`StandardForm` matches byte for byte, which keeps
-    solver behaviour (and therefore chosen mappings) unchanged while the
-    emission itself becomes O(nnz) array appends.
+    A new block is opened whenever the constraint family changes, so rows
+    keep their emission order across families: the global row order is
+    part of the model's identity and steers the solver (and therefore
+    which mapping it returns), while each row is an O(nnz) array append.
     """
 
     __slots__ = ("_model", "_family", "_emitter")
@@ -420,51 +412,20 @@ def build_formulation(
                 r3_vars[(node_id, producer, snk)] = r_vars[(node_id, producer)]
 
     # ------------------------------------------------------------------
-    # Constraints (1)-(9) + objective (10).
-    #
-    # Two emitters produce the same rows in the same order: the blockwise
-    # one works on integer column indices straight out of the variable
-    # blocks (O(nnz) appends, no Var objects on the hot path); the legacy
-    # one is the pre-refactor per-``LinExpr`` code, kept verbatim as the
-    # benchmark baseline and equivalence oracle.
+    # Constraints (1)-(9) + objective (10), on integer column indices
+    # straight out of the variable blocks (O(nnz) appends, no Var
+    # objects on the hot path).
     # ------------------------------------------------------------------
-    if options.use_blocks:
-        _emit_rows_blockwise(
-            model,
-            options,
-            mrrg,
-            candidates,
-            terminal_ports,
-            sinks_of,
-            sorted_u3,
-            sorted_union,
-            shared_of,
-            f_group_pos,
-            f_block,
-            r_block,
-            r3_block,
-            f_vars,
-        )
-    else:
-        _emit_rows_legacy(
-            model,
-            options,
-            mrrg,
-            candidates,
-            terminal_ports,
-            sinks_of,
-            sorted_u3,
-            sorted_union,
-            f_vars,
-            r_vars,
-            r3_vars,
-        )
+    _emit_rows_blockwise(
+        model, options, mrrg, candidates, terminal_ports, sinks_of, sorted_u3,
+        sorted_union, shared_of, f_group_pos, f_block, r_block, r3_block, f_vars,
+    )
 
     result = Formulation(model, f_vars, r_vars, r3_vars, sinks_of)
 
-    # Registered-feedback rows come last on both emitter paths (a legacy
-    # segment appended after every block), so blockwise/legacy row order
-    # stays identical and the family only exists when the option is on.
+    # Registered-feedback rows follow rows (1)-(9) as one per-row segment,
+    # so turning the option on appends rows without reordering the
+    # paper's, and the family only exists when the option is on.
     if options.require_registered_feedback:
         reg_ins = _register_input_nodes(mrrg)
         for producer, sinks in sinks_of.items():
@@ -508,8 +469,7 @@ def _emit_bound_rows(
     """Emit the arrival and in-flow rows (DESIGN.md section 5.7).
 
     Every integer solution of rows (1)-(9) already satisfies them, so
-    they only cut fractional LP points.  Both emitter paths share this
-    one, after every other row, which keeps them byte-identical.
+    they only cut fractional LP points.
     """
     writer = _BlockWriter(model)
 
@@ -600,9 +560,11 @@ def _emit_rows_blockwise(
 
     Works entirely on integer column indices: variable blocks are
     contiguous and created in a known order (F, then R, then R3), so
-    every constraint family either knows its column order statically (two-term rows, contiguous placement ranges —
-    ``sorted_row``) or sorts a short pair list (``pairs_row``).  Row
-    order matches ``_emit_rows_legacy`` exactly.
+    every constraint family either knows its column order statically
+    (two-term rows, contiguous placement ranges — ``sorted_row``) or
+    sorts a short pair list (``pairs_row``).  Row order is part of the
+    model's identity: reordering any rows changes the golden form
+    digests.
     """
     writer = _BlockWriter(model)
 
@@ -640,8 +602,8 @@ def _emit_rows_blockwise(
     route_fanouts = mrrg.route_fanouts
 
     # ``writer(family)`` is called at each emission point (not hoisted
-    # out of loops) so a family that emits no rows opens no block —
-    # matching the legacy path, which creates nothing for it.
+    # out of loops) so a family that emits no rows opens no block: the
+    # compiled form's ``blocks`` list only families that have rows.
     # (1) Operation Placement: every op on exactly one functional unit.
     # Candidate F columns are contiguous per op by construction.
     for op_name, fus in candidates.items():
@@ -844,222 +806,6 @@ def _emit_rows_blockwise(
         )
     else:
         model.minimize(0.0)
-
-
-def _emit_rows_legacy(
-    model: Model,
-    options: ILPMapperOptions,
-    mrrg: MRRG,
-    candidates: dict[str, list[MRRGNode]],
-    terminal_ports: dict[tuple[str, Sink], dict[str, str]],
-    sinks_of: dict[str, tuple[Sink, ...]],
-    sorted_u3: dict[tuple[str, Sink], list[str]],
-    sorted_union: dict[str, list[str]],
-    f_vars: dict[tuple[str, str], Var],
-    r_vars: dict[tuple[str, str], Var],
-    r3_vars: dict[tuple[str, str, Sink], Var],
-) -> None:
-    """The pre-refactor per-``LinExpr`` emission, preserved verbatim.
-
-    One ``Constraint`` object per row through ``Model.add_terms`` — the
-    baseline that ``scripts/bench_formulation.py`` measures the blockwise
-    path against, and the oracle the equivalence tests compare it to.
-    """
-    # (1) Operation Placement: every op on exactly one functional unit.
-    for op_name, fus in candidates.items():
-        model.add_terms(
-            [(f_vars[(fu.node_id, op_name)], 1.0) for fu in fus],
-            Sense.EQ,
-            1.0,
-            f"placement[{op_name}]",
-        )
-
-    # (2) Functional Unit Exclusivity.
-    by_fu: dict[str, list[Var]] = {}
-    for (fu_id, _op), var in f_vars.items():
-        by_fu.setdefault(fu_id, []).append(var)
-    for fu_id, vars_ in by_fu.items():
-        if len(vars_) > 1:
-            model.add_terms(
-                [(v, 1.0) for v in vars_],
-                Sense.LE,
-                1.0,
-                f"fu_excl[{fu_id}]",
-            )
-
-    # (4) Route Exclusivity.
-    by_node: dict[str, list[Var]] = {}
-    for (node_id, _producer), var in r_vars.items():
-        by_node.setdefault(node_id, []).append(var)
-    for node_id, vars_ in by_node.items():
-        if len(vars_) > 1:
-            model.add_terms(
-                [(v, 1.0) for v in vars_],
-                Sense.LE,
-                1.0,
-                f"route_excl[{node_id}]",
-            )
-
-    # (5) Fanout Routing + (6) Implied Placement + (7) Initial Fanout.
-    for producer, sinks in sinks_of.items():
-        sink_groups: list[tuple[tuple[Sink, ...], bool]]
-        if not options.split_sub_values:
-            sink_groups = [(sinks, True)]
-        else:
-            sink_groups = [((snk,), False) for snk in sinks]
-
-        for group, grouped in sink_groups:
-            terminals: set[str] = set()
-            for snk in group:
-                terminals |= set(terminal_ports[(producer, snk)])
-
-            # (5): continue the route at every non-terminal node.
-            if grouped:
-                ordered = sorted_union[producer]
-
-                def getvar(m: str) -> Var | None:
-                    return r_vars.get((m, producer))
-            else:
-                rep = group[0]
-                ordered = sorted_u3[(producer, rep)]
-
-                def getvar(m: str) -> Var | None:
-                    return r3_vars.get((m, producer, rep))
-
-            for node_id in ordered:
-                if node_id in terminals:
-                    continue
-                var = getvar(node_id)
-                if var is None:
-                    continue
-                fanout_vars = [
-                    v
-                    for v in (getvar(m) for m in mrrg.route_fanouts(node_id))
-                    if v is not None
-                ]
-                model.add_terms(
-                    [(var, 1.0)] + [(v, -1.0) for v in fanout_vars],
-                    Sense.LE,
-                    0.0,
-                    f"fanout[{node_id}][{producer}]",
-                )
-
-            # (6): termination implies downstream placement.
-            for snk in group:
-                for port_id, fu_id in terminal_ports[(producer, snk)].items():
-                    var = r3_vars.get((port_id, producer, snk))
-                    if var is None:
-                        continue
-                    if grouped:
-                        # Example 3 strawman: any consumer may claim the port.
-                        fvars = [
-                            f_vars[(fu_id, s.op)]
-                            for s in group
-                            if (fu_id, s.op) in f_vars
-                        ]
-                        model.add_terms(
-                            [(var, 1.0)] + [(f, -1.0) for f in fvars],
-                            Sense.LE,
-                            0.0,
-                            f"implied[{port_id}][{producer}]",
-                        )
-                    else:
-                        fvar = f_vars[(fu_id, snk.op)]
-                        model.add_terms(
-                            [(var, 1.0), (fvar, -1.0)],
-                            Sense.LE,
-                            0.0,
-                            f"implied[{port_id}][{producer}][{snk}]",
-                        )
-
-        # (7): the producer's output starts every sub-value route.
-        for fu in candidates[producer]:
-            assert fu.output is not None
-            fvar = f_vars[(fu.node_id, producer)]
-            start_vars = [r3_vars.get((fu.output, producer, s)) for s in sinks]
-            if options.split_sub_values:
-                unroutable = any(v is None for v in start_vars)
-            else:
-                unroutable = all(v is None for v in start_vars)
-            if unroutable:
-                # The output cannot reach (all of) the sinks: placing the
-                # producer on this unit is impossible.
-                model.add_terms(
-                    [(fvar, 1.0)],
-                    Sense.EQ,
-                    0.0,
-                    f"unroutable[{fu.node_id}][{producer}]",
-                )
-                continue
-            emitted: set[int] = set()
-            for snk, var in zip(sinks, start_vars):
-                if var is None or id(var) in emitted:
-                    continue
-                emitted.add(id(var))
-                model.add_terms(
-                    [(var, 1.0), (fvar, -1.0)],
-                    Sense.EQ,
-                    0.0,
-                    f"initial[{fu.output}][{producer}][{snk}]",
-                )
-
-        # (8): sink-agnostic usage covers every sink-specific route.
-        for snk in sinks:
-            for node_id in sorted_u3[(producer, snk)]:
-                r3 = r3_vars[(node_id, producer, snk)]
-                r = r_vars[(node_id, producer)]
-                if r3 is r:
-                    continue
-                model.add_terms(
-                    [(r, 1.0), (r3, -1.0)],
-                    Sense.GE,
-                    0.0,
-                    f"usage[{node_id}][{producer}][{snk}]",
-                )
-
-    # (9) Multiplexer Input Exclusivity.
-    if options.mux_exclusivity:
-        for node in mrrg.route_nodes():
-            fanins = mrrg.route_fanins(node.node_id)
-            if len(fanins) <= 1:
-                continue
-            for producer in sinks_of:
-                rvar = r_vars.get((node.node_id, producer))
-                fanin_vars = [
-                    r_vars[(m, producer)]
-                    for m in fanins
-                    if (m, producer) in r_vars
-                ]
-                if rvar is None and not fanin_vars:
-                    continue
-                terms = [(v, 1.0) for v in fanin_vars]
-                if rvar is not None:
-                    terms.append((rvar, -1.0))
-                model.add_terms(
-                    terms,
-                    Sense.EQ,
-                    0.0,
-                    f"mux_excl[{node.node_id}][{producer}]",
-                )
-
-    # (10) Objective: minimize routing resource usage.
-    if options.objective == "route_usage":
-        model.minimize(_objective_expr(model, r_vars, lambda node: 1.0, mrrg))
-    elif options.objective == "weighted":
-        assert options.node_weights is not None
-        model.minimize(_objective_expr(model, r_vars, options.node_weights, mrrg))
-    else:
-        model.minimize(0.0)
-
-
-def _objective_expr(model, r_vars, weight_fn, mrrg):
-    from ..ilp.expr import LinExpr
-
-    pairs = [
-        (var, float(weight_fn(mrrg.node(node_id))))
-        for (node_id, _producer), var in r_vars.items()
-    ]
-    return LinExpr.from_terms(pairs)
 
 
 class ILPMapper(Mapper):

@@ -3,9 +3,10 @@
 Layout: ``<root>/objects/<fp[:2]>.jsonl`` — append-only JSONL shards
 keyed by the first fingerprint byte, one JSON object per finished
 request.  Append-only means a crashed writer can at worst leave one
-truncated trailing line (skipped on read) and repeated stores of the
-same fingerprint are resolved last-writer-wins, without any locking —
-which suits the single-process, single-CPU deployment this repo targets.
+truncated trailing line (skipped on read; the next store starts on a
+new line after it) and repeated stores of the same fingerprint are
+resolved last-writer-wins, without any locking — which suits the
+single-process, single-CPU deployment this repo targets.
 
 Lookups go through an in-memory offset index, one per shard: it maps
 each fingerprint to the byte offset of its latest valid line.  A shard's
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Any, BinaryIO
 
 from ..dfg.graph import DFG
+from ..jsonl import append_line
 from ..mapper.base import MapResult, MapStatus
 from ..mapper.serialize import (
     MappingFormatError,
@@ -265,9 +267,9 @@ class MappingCache:
         return entry
 
     def put(self, entry: CacheEntry) -> None:
-        shard = self._shard(entry.fingerprint)
-        with open(shard, "a", encoding="utf-8") as handle:
-            handle.write(entry.to_json() + "\n")
+        """Append ``entry`` to its shard, on a line of its own even when
+        a killed writer left the shard's last line torn."""
+        append_line(self._shard(entry.fingerprint), entry.to_json())
 
     def __contains__(self, fingerprint: str) -> bool:
         return self.get(fingerprint) is not None

@@ -136,10 +136,10 @@ class TestModelIntegration:
     def test_block_rows_match_legacy_rows(self):
         """The same constraint emitted both ways compiles identically."""
 
-        def build(use_blocks: bool) -> StandardForm:
+        def build(blockwise: bool) -> StandardForm:
             model = Model("m")
             _block, (x, y, z) = model.add_var_block("v", ["x", "y", "z"])
-            if use_blocks:
+            if blockwise:
                 emitter = model.add_rows("fam")
                 emitter.row(
                     [z.index, x.index], [2.0, 1.0], Sense.LE, 3.0, "fam[0]"

@@ -13,7 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+from .helpers import form_digest
+
+ROOT = Path(__file__).resolve().parents[2]
 
 # Builds a small formulation with fan-out (exercises the R3 sub-value
 # machinery) and digests every emission-ordered surface of the model.
@@ -47,17 +49,12 @@ for con in form.model.constraints:
     digest.update(b";")
 
 # The compiled StandardForm is the surface the solver actually sees —
-# digest its raw arrays too, so a hash-seed leak anywhere between
-# emission and compilation is caught.
+# digest it too, so a hash-seed leak anywhere between emission and
+# compilation is caught.
 from repro.ilp import compile_model
+from tests.mapper.helpers import form_digest
 
-sf = compile_model(form.model)
-for arr in (
-    sf.A.indptr, sf.A.indices, sf.A.data,
-    sf.row_lb, sf.row_ub, sf.var_lb, sf.var_ub, sf.c,
-):
-    digest.update(arr.tobytes())
-digest.update("|".join(sf.row_labels or ()).encode())
+digest.update(form_digest(compile_model(form.model)).encode())
 print(digest.hexdigest())
 """
 
@@ -97,7 +94,7 @@ print(digest.hexdigest())
 def _digest(script: str, hash_seed: int) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT)))
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -128,24 +125,6 @@ def test_simulator_schedule_survives_hash_randomization():
     )
 
 
-def _form_bytes(form) -> bytes:
-    """Every byte of a compiled StandardForm, in a fixed order."""
-    parts = [
-        form.A.indptr.tobytes(),
-        form.A.indices.tobytes(),
-        form.A.data.tobytes(),
-        form.row_lb.tobytes(),
-        form.row_ub.tobytes(),
-        form.var_lb.tobytes(),
-        form.var_ub.tobytes(),
-        form.c.tobytes(),
-        repr(form.c0).encode(),
-        b"|".join(label.encode() for label in form.row_labels or ()),
-        b"|".join(name.encode() for name in form.var_names or ()),
-    ]
-    return b"\x00".join(parts)
-
-
 def test_compiled_form_is_byte_identical_across_builds():
     """Two independent builds of the same instance compile to the same
 
@@ -171,4 +150,4 @@ def test_compiled_form_is_byte_identical_across_builds():
             build_formulation(dfg, mrrg, ILPMapperOptions()).model
         )
 
-    assert _form_bytes(build_once()) == _form_bytes(build_once())
+    assert form_digest(build_once()) == form_digest(build_once())

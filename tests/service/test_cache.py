@@ -373,6 +373,31 @@ class TestShardIndex:
         assert cache.get(third).objective == 1.0
         assert cache.get(first).objective == 2.0
 
+    def test_put_after_a_torn_last_line_is_served(self, tmp_path):
+        """A writer killed mid-line leaves a fragment without its newline:
+        the next put starts on a new line instead of being glued to it."""
+        root = tmp_path / "cache"
+        cache = MappingCache(root)
+        before, torn, after, later = ("aa" + digit * 62 for digit in "1234")
+        cache.put(entry(before, objective=1.0))
+        assert cache.get(before).objective == 1.0  # the shard is indexed
+        with open(cache.objects_dir / "aa.jsonl", "ab") as handle:
+            handle.write(entry(torn, objective=2.0).to_json().encode()[:30])
+        cache.put(entry(after, objective=3.0))
+        for reader in (cache, MappingCache(root)):
+            assert reader.get(after).objective == 3.0
+            assert reader.get(before).objective == 1.0
+            assert reader.get(torn) is None
+        cache.put(entry(later, objective=4.0))
+        for reader in (cache, MappingCache(root)):
+            assert reader.get(later).objective == 4.0
+            assert reader.get(after).objective == 3.0
+            assert reader.get(before).objective == 1.0
+            assert reader.get(torn) is None
+            assert sorted(e.fingerprint for e in reader.entries()) == [
+                before, after, later
+            ]
+
     def test_indexed_hit_decodes_one_line(self, tmp_path, monkeypatch):
         writer = MappingCache(tmp_path / "cache")
         stored = [f"aa{i:062x}" for i in range(40)]
