@@ -567,8 +567,9 @@ def compute_mii(
     the recurrence bound into the B005 certificate.
 
     ``mrrg_for`` supplies the (pruned) MRRG per II — pass the memoized
-    :meth:`repro.mapper.sweep.IISweep.mrrg` or a factory-backed closure
-    so graphs are shared with the actual mapping run.
+    :meth:`repro.mapper.sweep.IISweep.mrrg` or
+    :meth:`repro.mrrg.build.MRRGFactory.mrrg` so graphs are shared with
+    the actual mapping run.
     """
     refuted: dict[int, BoundFinding] = {}
     res_mii = max_probe + 1

@@ -102,35 +102,43 @@ def _service_portfolio(args) -> PortfolioConfig:
     )
 
 
-def _resolve_benchmark(name: str):
+class _InputError(Exception):
+    """A command argument that cannot be loaded; :func:`main` prints
+    ``error: <message>`` and exits with ``code``."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+def _load_benchmark(name: str):
     """Resolve a benchmark argument to ``(dfg, label, loop_kernel)``.
 
     A ``.py`` path (or anything path-like) goes through the loop
     frontend; everything else resolves through the kernel registry
     (Table 1 plus dynamically registered kernels).
-    """
-    if name.endswith(".py") or "/" in name:
-        from .frontend import compile_path
 
-        loop = compile_path(name)
-        return loop.dfg, loop.name, loop
-    return kernel(name), name, None
+    Raises:
+        _InputError: an unknown kernel name or an unreadable file (exit
+            2), or a loop file outside the frontend subset (exit 1).
+    """
+    from .frontend import FrontendError, compile_path
+
+    try:
+        if name.endswith(".py") or "/" in name:
+            loop = compile_path(name)
+            return loop.dfg, loop.name, loop
+        return kernel(name), name, None
+    except KeyError as exc:
+        raise _InputError(exc.args[0], 2) from None
+    except FrontendError as exc:
+        raise _InputError(f"{name}: {exc.format()}", 1) from None
+    except OSError as exc:
+        raise _InputError(f"cannot read {name}: {exc}", 2) from None
 
 
 def _cmd_map(args) -> int:
-    from .frontend import FrontendError
-
-    try:
-        dfg, label, loop = _resolve_benchmark(args.benchmark)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return 2
-    except FrontendError as exc:
-        print(f"error: {args.benchmark}: {exc.format()}")
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read {args.benchmark}: {exc}")
-        return 2
+    dfg, label, loop = _load_benchmark(args.benchmark)
     use_service = bool(
         args.cache_dir or args.telemetry or args.mapper == "portfolio"
     )
@@ -295,19 +303,7 @@ def _cmd_simulate(args) -> int:
     from .dfg.opcodes import OpCode
     from .mapper.simulate import SimulationError, simulate_mapping
 
-    from .frontend import FrontendError
-
-    try:
-        dfg, label, loop = _resolve_benchmark(args.benchmark)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return 2
-    except FrontendError as exc:
-        print(f"error: {args.benchmark}: {exc.format()}")
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read {args.benchmark}: {exc}")
-        return 2
+    dfg, label, loop = _load_benchmark(args.benchmark)
     mrrg = _build_mrrg(args)
     options = ILPMapperOptions(
         time_limit=args.time_limit,
@@ -487,23 +483,17 @@ def _cmd_analyze_bounds(args) -> int:
 
     from .analyze import check_finding, compute_mii
     from .analyze.bounds import iter_findings
-    from .mrrg.build import build_mrrg_from_module
+    from .mrrg.build import MRRGFactory
 
-    dfg, label, _ = _resolve_benchmark(args.benchmark)
+    dfg, label, _ = _load_benchmark(args.benchmark)
     top = paper_architecture(
         args.style, args.interconnect, rows=args.rows, cols=args.cols
     )
-    mrrgs: dict[int, MRRG] = {}
-
-    def mrrg_for(ii: int) -> MRRG:
-        if ii not in mrrgs:
-            mrrgs[ii] = prune(build_mrrg_from_module(top, ii))
-        return mrrgs[ii]
-
-    report = compute_mii(dfg, top, mrrg_for, max_probe=args.max_ii)
+    mrrgs = MRRGFactory(top)
+    report = compute_mii(dfg, top, mrrgs.mrrg, max_probe=args.max_ii)
     findings = list(iter_findings(report))
     for finding in findings:
-        mrrg = mrrgs.get(finding.ii) if finding.ii is not None else None
+        mrrg = mrrgs.mrrg(finding.ii) if finding.ii is not None else None
         check_finding(finding, dfg, mrrg=mrrg, architecture=top)
 
     if args.format == "json":
@@ -819,7 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}")
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

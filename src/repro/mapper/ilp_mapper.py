@@ -86,17 +86,6 @@ class ILPMapperOptions:
             selects the formulation: below 1 (or None) the solve must
             prove optimality, and :attr:`proves_optimality` adds the
             arrival and in-flow rows that tighten the LP bound.
-        verify_result: run the independent legality verifier on every
-            extracted mapping and fail loudly on violations.
-        pre_audit: run the :mod:`repro.analyze` capacity screen before
-            building the formulation and the model audit before solving;
-            a structural witness or a fatal audit finding turns into a
-            proven INFEASIBLE without invoking the backend.
-        bounds_screen: additionally run the certified bounds prover
-            (:mod:`repro.analyze.bounds` — Hall matching, routability
-            cuts, saturation counts) before building the formulation; a
-            fatal B-rule finding becomes a proven INFEASIBLE carrying
-            its machine-checkable certificate.
         require_registered_feedback: force every DFG back-edge route
             through at least one register (an ``in`` -> ``out`` pair of a
             register primitive).  The modulo abstraction cannot see
@@ -118,9 +107,6 @@ class ILPMapperOptions:
     split_sub_values: bool = True
     mux_exclusivity: bool = True
     mip_rel_gap: float | None = None
-    verify_result: bool = True
-    pre_audit: bool = True
-    bounds_screen: bool = True
     require_registered_feedback: bool = False
 
     def __post_init__(self):
@@ -891,50 +877,52 @@ class ILPMapper(Mapper):
         return formulation, form
 
     def map(self, dfg: DFG, mrrg: MRRG) -> MapResult:
-        """Build and solve the formulation; extract and verify the mapping."""
+        """Screen, build, audit and solve; extract and verify the mapping.
+
+        A structural witness (S-rules), a fatal bounds finding (B-rules,
+        with its certificate) or a fatal model-audit finding is a proven
+        INFEASIBLE without invoking the backend.
+        """
         opts = self.options
         start = time.perf_counter()
-        if opts.pre_audit:
-            witness = first_witness(dfg, mrrg)
-            if witness is not None:
-                elapsed = time.perf_counter() - start
-                self._emit(
-                    "pre-audit",
-                    duration=elapsed,
-                    verdict="infeasible",
-                    rule=witness.rule,
-                    message=witness.message,
-                )
-                return MapResult(
-                    status=MapStatus.INFEASIBLE,
-                    formulation_time=elapsed,
-                    detail=f"structural witness {witness.rule}: {witness.message}",
-                    proven_optimal=True,
-                )
-        if opts.bounds_screen:
-            reach = (
-                self.form_cache.reach_cache_for(mrrg)
-                if self.form_cache is not None
-                else None
-            )
-            screen_start = time.perf_counter()
-            finding = first_bound_witness(dfg, mrrg, reach=reach)
+        witness = first_witness(dfg, mrrg)
+        if witness is not None:
+            elapsed = time.perf_counter() - start
             self._emit(
-                "bounds-screen",
-                duration=time.perf_counter() - screen_start,
-                ii=mrrg.ii,
-                verdict="infeasible" if finding else "unknown",
-                rule=finding.rule if finding else None,
+                "pre-audit",
+                duration=elapsed,
+                verdict="infeasible",
+                rule=witness.rule,
+                message=witness.message,
             )
-            if finding is not None:
-                elapsed = time.perf_counter() - start
-                return MapResult(
-                    status=MapStatus.INFEASIBLE,
-                    formulation_time=elapsed,
-                    detail=f"bounds screen {finding.rule}: {finding.message}",
-                    proven_optimal=True,
-                    certificate=finding.as_dict(),
-                )
+            return MapResult(
+                status=MapStatus.INFEASIBLE,
+                formulation_time=elapsed,
+                detail=f"structural witness {witness.rule}: {witness.message}",
+                proven_optimal=True,
+            )
+        reach = (
+            self.form_cache.reach_cache_for(mrrg)
+            if self.form_cache is not None
+            else None
+        )
+        screen_start = time.perf_counter()
+        finding = first_bound_witness(dfg, mrrg, reach=reach)
+        self._emit(
+            "bounds-screen",
+            duration=time.perf_counter() - screen_start,
+            ii=mrrg.ii,
+            verdict="infeasible" if finding else "unknown",
+            rule=finding.rule if finding else None,
+        )
+        if finding is not None:
+            return MapResult(
+                status=MapStatus.INFEASIBLE,
+                formulation_time=time.perf_counter() - start,
+                detail=f"bounds screen {finding.rule}: {finding.message}",
+                proven_optimal=True,
+                certificate=finding.as_dict(),
+            )
         formulation, form = self._formulate(dfg, mrrg)
         formulation_time = time.perf_counter() - start
         if formulation.infeasible_reason is not None:
@@ -946,24 +934,23 @@ class ILPMapper(Mapper):
             )
         assert form is not None
 
-        if opts.pre_audit:
-            audit_start = time.perf_counter()
-            report = audit_form(form)
-            fatal = report.fatal
-            self._emit(
-                "model-audit",
-                duration=time.perf_counter() - audit_start,
-                findings=len(report.findings),
-                rules=sorted(report.rules()),
-                fatal=fatal.rule if fatal else None,
+        audit_start = time.perf_counter()
+        report = audit_form(form)
+        fatal = report.fatal
+        self._emit(
+            "model-audit",
+            duration=time.perf_counter() - audit_start,
+            findings=len(report.findings),
+            rules=sorted(report.rules()),
+            fatal=fatal.rule if fatal else None,
+        )
+        if fatal is not None:
+            return MapResult(
+                status=MapStatus.INFEASIBLE,
+                formulation_time=time.perf_counter() - start,
+                detail=f"model audit {fatal.rule}: {fatal.message}",
+                proven_optimal=True,
             )
-            if fatal is not None:
-                return MapResult(
-                    status=MapStatus.INFEASIBLE,
-                    formulation_time=time.perf_counter() - start,
-                    detail=f"model audit {fatal.rule}: {fatal.message}",
-                    proven_optimal=True,
-                )
 
         solution = solve_form(
             form,
@@ -1008,23 +995,22 @@ class ILPMapper(Mapper):
                 sub_values=len(mapping.routes),
                 routing_cost=mapping.routing_cost(),
             )
-            if self.options.verify_result:
-                verify_start = time.perf_counter()
-                issues = verify(
-                    mapping,
-                    strict_operands=self.options.operand_mode == "strict"
-                    and self.options.split_sub_values,
+            verify_start = time.perf_counter()
+            issues = verify(
+                mapping,
+                strict_operands=self.options.operand_mode == "strict"
+                and self.options.split_sub_values,
+            )
+            self._emit(
+                "verify",
+                duration=time.perf_counter() - verify_start,
+                issues=len(issues),
+            )
+            if issues:
+                status = MapStatus.ERROR
+                detail = "extracted mapping failed verification: " + "; ".join(
+                    issues[:5]
                 )
-                self._emit(
-                    "verify",
-                    duration=time.perf_counter() - verify_start,
-                    issues=len(issues),
-                )
-                if issues:
-                    status = MapStatus.ERROR
-                    detail = "extracted mapping failed verification: " + "; ".join(
-                        issues[:5]
-                    )
         return MapResult(
             status=status,
             mapping=mapping,

@@ -48,7 +48,6 @@ def find_min_ii(
     architecture: Module,
     max_ii: int = 4,
     mapper_factory: Callable[[], Mapper] | None = None,
-    bounds_screen: bool = True,
     telemetry=None,
 ) -> IISearchResult:
     """Search II = 1..max_ii for the smallest feasible mapping.
@@ -71,7 +70,6 @@ def find_min_ii(
         max_ii: largest initiation interval to try.
         mapper_factory: creates the mapper per attempt (defaults to the
             ILP mapper in feasibility mode with a 120 s budget).
-        bounds_screen: skip IIs the bounds prover certifies infeasible.
         telemetry: optional event bus forwarded to the sweep engine.
 
     Raises:
@@ -83,12 +81,7 @@ def find_min_ii(
         def mapper_factory() -> Mapper:
             return ILPMapper(ILPMapperOptions(time_limit=120.0, mip_rel_gap=1.0))
 
-    sweep = IISweep(
-        dfg,
-        architecture,
-        bounds_screen=bounds_screen,
-        telemetry=telemetry,
-    )
+    sweep = IISweep(dfg, architecture, telemetry=telemetry)
     sweep_attempts = sweep.run(max_ii, mapper_factory)
     attempts: dict[int, MapResult] = {a.ii: a.result for a in sweep_attempts}
     screened = tuple(a.ii for a in sweep_attempts if a.screened)

@@ -1,25 +1,23 @@
-"""Shared incremental II-sweep engine.
-
-Three call sites used to run their own "build MRRG at II, formulate,
-solve" loop — :func:`repro.mapper.search.find_min_ii`, the service
-layer's per-request path and the portfolio's ILP stages — each
-re-flattening the architecture and re-building (and re-compiling) the
-same formulation from scratch.  This module centralizes the incremental
-machinery:
+"""Incremental II-sweep engine and the shared formulation cache.
 
 * :class:`FormulationCache` — shares the built *and compiled*
   formulation across repeated :meth:`ILPMapper.map` calls on the same
   (DFG, MRRG, formulation options) instance, plus one
   :class:`~repro.mapper.ilp_mapper.RouteReachCache` per MRRG so
-  route-reachability BFS results carry across option variants;
-* :class:`IISweep` — walks II = 1..max_ii for one (DFG, architecture)
-  pair, flattening the architecture once (via
+  route-reachability BFS results carry across option variants.  The
+  portfolio keeps one per request, so its ``ilp-highs`` and ``ilp-bnb``
+  rungs build and compile once;
+* :class:`IISweep` — the engine behind
+  :func:`repro.mapper.search.find_min_ii`: walks II = 1..max_ii for one
+  (DFG, architecture) pair, flattening the architecture once (via
   :class:`~repro.mrrg.build.MRRGFactory`), memoizing the pruned MRRG per
-  II, and injecting the shared formulation cache into every ILP mapper
-  it drives.
+  II, refuting IIs with the certified bounds prover before any mapper
+  runs, and injecting its formulation cache into every ILP mapper it
+  drives.
 
-Cache keys are object identities (``id(dfg)``, ``id(mrrg)``) plus the
-options' :meth:`~repro.mapper.ilp_mapper.ILPMapperOptions.formulation_key`;
+Cache keys are object identities (``id(dfg)``, ``id(mrrg)``, and
+``id(node_weights)`` inside the options'
+:meth:`~repro.mapper.ilp_mapper.ILPMapperOptions.formulation_key`);
 entries hold strong references to the keyed objects so an id can never
 be silently reused by a garbage-collected stranger.  The cache is
 per-sweep / per-request scoped — create one where the loop starts, do
@@ -37,7 +35,7 @@ from ..arch.module import Module
 from ..dfg.graph import DFG
 from ..ilp.standard_form import StandardForm
 from ..mrrg.build import MRRGFactory
-from ..mrrg.graph import MRRG
+from ..mrrg.graph import MRRG, MRRGNode
 from .base import Mapper, MapResult, MapStatus
 from .ilp_mapper import (
     Formulation,
@@ -53,6 +51,7 @@ class _CacheEntry:
 
     dfg: DFG
     mrrg: MRRG
+    node_weights: Callable[[MRRGNode], float] | None
     formulation: Formulation
     form: StandardForm
 
@@ -100,7 +99,11 @@ class FormulationCache:
         form: StandardForm,
     ) -> None:
         self._entries[self._key(dfg, mrrg, options)] = _CacheEntry(
-            dfg=dfg, mrrg=mrrg, formulation=formulation, form=form
+            dfg=dfg,
+            mrrg=mrrg,
+            node_weights=options.node_weights,
+            formulation=formulation,
+            form=form,
         )
 
     def reach_cache_for(self, mrrg: MRRG) -> RouteReachCache:
@@ -138,8 +141,8 @@ class SweepAttempt:
 class IISweep:
     """Incremental II-sweep state for one (DFG, architecture) pair.
 
-    Flattens the architecture once, memoizes the (pruned) MRRG per II
-    and shares one :class:`FormulationCache` across every attempt.  ILP
+    Flattens the architecture once, memoizes the pruned MRRG per II and
+    shares one :class:`FormulationCache` across every attempt.  ILP
     mappers produced by the caller's factory get the shared cache
     injected (unless they already carry one), so a timeout-then-retry at
     the same II reuses the compiled formulation.
@@ -147,36 +150,20 @@ class IISweep:
     Args:
         dfg: the kernel to map.
         architecture: the spatial architecture module.
-        mrrg_factory: override the per-architecture MRRG factory (e.g.
-            to share it across sweeps of different kernels).
-        form_cache: override the formulation cache (e.g. the service
-            layer's per-request cache).
-        bounds_screen: run the certified bounds prover
-            (:mod:`repro.analyze.bounds`) before each attempt and skip
-            IIs it refutes without invoking any mapper.
         telemetry: optional event bus — any object with
             ``emit(kind, duration=None, **fields)``; the screen reports
             a ``bounds-screen`` event per II.
     """
 
-    def __init__(
-        self,
-        dfg: DFG,
-        architecture: Module,
-        mrrg_factory: MRRGFactory | None = None,
-        form_cache: FormulationCache | None = None,
-        bounds_screen: bool = True,
-        telemetry=None,
-    ):
+    def __init__(self, dfg: DFG, architecture: Module, telemetry=None):
         self.dfg = dfg
-        self.mrrg_factory = mrrg_factory or MRRGFactory(architecture)
-        self.form_cache = form_cache or FormulationCache()
-        self.bounds_screen = bounds_screen
+        self.mrrgs = MRRGFactory(architecture)
+        self.form_cache = FormulationCache()
         self.telemetry = telemetry
 
     def mrrg(self, ii: int) -> MRRG:
-        """The memoized (pruned) MRRG at ``ii`` contexts."""
-        return self.mrrg_factory.mrrg(ii, prune=True)
+        """The memoized pruned MRRG at ``ii`` contexts."""
+        return self.mrrgs.mrrg(ii)
 
     def screen(self, ii: int) -> SweepAttempt | None:
         """Run the bounds prover at ``ii``; a refutation becomes a
@@ -215,32 +202,21 @@ class IISweep:
         return SweepAttempt(ii=ii, mrrg=mrrg, result=mapper.map(self.dfg, mrrg))
 
     def run(
-        self,
-        max_ii: int,
-        mapper_factory: Callable[[], Mapper],
-        stop_on: Callable[[MapResult], bool] | None = None,
+        self, max_ii: int, mapper_factory: Callable[[], Mapper]
     ) -> list[SweepAttempt]:
-        """Attempt II = 1..max_ii in order, stopping early on success.
+        """Attempt II = 1..max_ii in order, stopping at the first MAPPED.
 
-        ``stop_on`` decides early termination (default: a MAPPED
-        result); infeasibility at a small II never stops the sweep —
-        more contexts add resources.  With ``bounds_screen`` on, each II
-        is first offered to the certified prover: a refuted II is
-        recorded as a proven-INFEASIBLE attempt (with its certificate)
-        and no mapper ever runs there.
+        Infeasibility at a small II never stops the sweep — more
+        contexts add resources.  Each II is first offered to the
+        certified prover: a refuted II is recorded as a proven-INFEASIBLE
+        attempt (with its certificate) and no mapper ever runs there.
         """
         if max_ii < 1:
             raise ValueError("max_ii must be >= 1")
-        if stop_on is None:
-            def stop_on(result: MapResult) -> bool:
-                return result.status is MapStatus.MAPPED
-
         attempts: list[SweepAttempt] = []
         for ii in range(1, max_ii + 1):
-            attempt = self.screen(ii) if self.bounds_screen else None
-            if attempt is None:
-                attempt = self.attempt(ii, mapper_factory())
+            attempt = self.screen(ii) or self.attempt(ii, mapper_factory())
             attempts.append(attempt)
-            if stop_on(attempt.result):
+            if attempt.result.status is MapStatus.MAPPED:
                 break
         return attempts

@@ -59,20 +59,19 @@ def build_mrrg_from_module(top: Module, ii: int, name: str | None = None) -> MRR
 
 
 class MRRGFactory:
-    """Builds MRRGs of one architecture across IIs, flattening once.
+    """Builds the pruned MRRGs of one architecture across IIs, flattening once.
 
     The flatten step is II-independent, yet every II-sweep caller used to
     re-run it per attempt; the factory hoists it (done lazily, once) and
-    memoizes the built — optionally pruned — MRRG per ``(ii, prune)``, so
-    repeated attempts at the same II (portfolio retries, shared sweeps)
-    reuse the same graph object, which in turn keys the mapper's
-    formulation cache.
+    memoizes the built and pruned MRRG per II, so repeated attempts at
+    the same II (portfolio retries, shared sweeps) reuse the same graph
+    object, which in turn keys the mapper's formulation cache.
     """
 
     def __init__(self, top: Module):
         self.top = top
         self._flat: FlatNetlist | None = None
-        self._cache: dict[tuple[int, bool], MRRG] = {}
+        self._cache: dict[int, MRRG] = {}
 
     @property
     def flat(self) -> FlatNetlist:
@@ -81,17 +80,14 @@ class MRRGFactory:
             self._flat = flatten(self.top)
         return self._flat
 
-    def mrrg(self, ii: int, prune: bool = False) -> MRRG:
-        """The (optionally pruned) MRRG at ``ii`` contexts, memoized."""
-        key = (ii, prune)
-        cached = self._cache.get(key)
+    def mrrg(self, ii: int) -> MRRG:
+        """The pruned MRRG at ``ii`` contexts, memoized."""
+        cached = self._cache.get(ii)
         if cached is None:
-            cached = build_mrrg(self.flat, ii)
-            if prune:
-                from .analysis import prune as prune_mrrg
+            from .analysis import prune
 
-                cached = prune_mrrg(cached)
-            self._cache[key] = cached
+            cached = prune(build_mrrg(self.flat, ii))
+            self._cache[ii] = cached
         return cached
 
 

@@ -122,7 +122,7 @@ class MappingService:
             with self.bus.timed(
                 "mrrg-build", arch=arch.name, contexts=contexts
             ) as extra:
-                mrrg = factory.mrrg(contexts, prune=True)
+                mrrg = factory.mrrg(contexts)
                 extra["nodes"] = len(mrrg)
                 extra["edges"] = mrrg.num_edges()
             self._mrrgs[key] = mrrg

@@ -130,10 +130,6 @@ class PortfolioConfig:
         mip_rel_gap: relative-gap stop for ILP stages (1.0 = accept the
             first incumbent, i.e. pure feasibility; None = prove
             optimality).
-        pre_audit: run the :mod:`repro.analyze` capacity screen before
-            the first stage; a structural-infeasibility witness settles
-            the request without running any stage (and, being a proven
-            INFEASIBLE, is cached by the service layer).
     """
 
     stages: tuple[StageSpec, ...] = dataclasses.field(
@@ -142,7 +138,6 @@ class PortfolioConfig:
     stop_at_first_feasible: bool = True
     deadline: float | None = None
     mip_rel_gap: float | None = 1.0
-    pre_audit: bool = True
 
     def __post_init__(self):
         if not self.stages:
@@ -155,7 +150,6 @@ class PortfolioConfig:
             "stop_at_first_feasible": self.stop_at_first_feasible,
             "deadline": self.deadline,
             "mip_rel_gap": self.mip_rel_gap,
-            "pre_audit": self.pre_audit,
         }
 
 
@@ -256,6 +250,10 @@ def run_portfolio(
 ) -> PortfolioOutcome:
     """Run the escalation ladder over one (DFG, MRRG) instance.
 
+    The capacity screen and the certified bounds prover run first: a
+    refutation settles the request without running any stage (and,
+    being a proven INFEASIBLE, is cached by the service layer).
+
     Args:
         dfg/mrrg: the mapping instance.
         config: ladder and policy (defaults to the standard ladder in
@@ -293,57 +291,56 @@ def run_portfolio(
             result=result, stage=stage, degraded=degraded, attempts=attempts
         )
 
-    if config.pre_audit:
-        witness = first_witness(dfg, mrrg)
-        if telemetry is not None:
-            telemetry.emit(
-                "pre-audit",
-                duration=time.perf_counter() - start,
-                verdict="infeasible" if witness else "clean",
-                rule=witness.rule if witness else None,
-                message=witness.message if witness else None,
-            )
-        if witness is not None:
-            # A pigeonhole witness is an infeasibility proof: no stage —
-            # heuristic or exact — could ever find a mapping.
-            return finish(
-                MapResult(
-                    status=MapStatus.INFEASIBLE,
-                    detail=(
-                        f"structural witness {witness.rule}: {witness.message}"
-                    ),
-                    proven_optimal=True,
-                ),
-                "pre-audit",
-            )
-        # The certified bounds prover (Hall matching, routability cuts,
-        # saturation counts) refutes instances the counting screen
-        # cannot; its certificate travels with the result into the
-        # service cache and re-checks under repro.analyze.certify.
-        screen_start = time.perf_counter()
-        finding = first_bound_witness(
-            dfg, mrrg, reach=form_cache.reach_cache_for(mrrg)
+    witness = first_witness(dfg, mrrg)
+    if telemetry is not None:
+        telemetry.emit(
+            "pre-audit",
+            duration=time.perf_counter() - start,
+            verdict="infeasible" if witness else "clean",
+            rule=witness.rule if witness else None,
+            message=witness.message if witness else None,
         )
-        if telemetry is not None:
-            telemetry.emit(
-                "bounds-screen",
-                duration=time.perf_counter() - screen_start,
-                ii=mrrg.ii,
-                verdict="infeasible" if finding else "unknown",
-                rule=finding.rule if finding else None,
-            )
-        if finding is not None:
-            return finish(
-                MapResult(
-                    status=MapStatus.INFEASIBLE,
-                    detail=(
-                        f"bounds screen {finding.rule}: {finding.message}"
-                    ),
-                    proven_optimal=True,
-                    certificate=finding.as_dict(),
+    if witness is not None:
+        # A pigeonhole witness is an infeasibility proof: no stage —
+        # heuristic or exact — could ever find a mapping.
+        return finish(
+            MapResult(
+                status=MapStatus.INFEASIBLE,
+                detail=(
+                    f"structural witness {witness.rule}: {witness.message}"
                 ),
-                "bounds-screen",
-            )
+                proven_optimal=True,
+            ),
+            "pre-audit",
+        )
+    # The certified bounds prover (Hall matching, routability cuts,
+    # saturation counts) refutes instances the counting screen
+    # cannot; its certificate travels with the result into the
+    # service cache and re-checks under repro.analyze.certify.
+    screen_start = time.perf_counter()
+    finding = first_bound_witness(
+        dfg, mrrg, reach=form_cache.reach_cache_for(mrrg)
+    )
+    if telemetry is not None:
+        telemetry.emit(
+            "bounds-screen",
+            duration=time.perf_counter() - screen_start,
+            ii=mrrg.ii,
+            verdict="infeasible" if finding else "unknown",
+            rule=finding.rule if finding else None,
+        )
+    if finding is not None:
+        return finish(
+            MapResult(
+                status=MapStatus.INFEASIBLE,
+                detail=(
+                    f"bounds screen {finding.rule}: {finding.message}"
+                ),
+                proven_optimal=True,
+                certificate=finding.as_dict(),
+            ),
+            "bounds-screen",
+        )
 
     for stage in config.stages:
         budget = stage.time_limit

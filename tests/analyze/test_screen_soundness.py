@@ -3,7 +3,9 @@
 The property: a screen may answer UNKNOWN (None) on a mappable
 instance, but whenever it claims INFEASIBLE the exact solver — run with
 every screen disabled — must never find a mapping, and the B-rule
-certificate must re-verify under the independent checker.
+certificate must re-verify under the independent checker.  The exact
+reference is :func:`tests.mapper.helpers.exact_verdict`: the formulation
+built, compiled and solved directly.
 
 The instance matrix deliberately mixes refuted and mappable cases over
 Table-1 kernels and frontend-compiled loop kernels on small fabrics, so
@@ -20,9 +22,8 @@ from repro.analyze.certify import check_finding
 from repro.analyze.model_audit import first_witness
 from repro.arch.testsuite import paper_architecture
 from repro.kernels.registry import kernel
-from repro.mapper.ilp_mapper import ILPMapper, ILPMapperOptions
-from repro.mapper.base import MapStatus
 from repro.mrrg import build_mrrg_from_module, prune
+from tests.mapper.helpers import exact_verdict
 
 LOOPS_DIR = Path(__file__).resolve().parents[2] / "examples" / "loops"
 
@@ -51,13 +52,6 @@ def _resolve(name):
     return kernel(name)
 
 
-def _unscreened_solver(time_limit=60.0):
-    return ILPMapper(ILPMapperOptions(
-        pre_audit=False, bounds_screen=False,
-        time_limit=time_limit, mip_rel_gap=1.0,
-    ))
-
-
 @pytest.mark.parametrize(
     "name,style,rows,cols,ii",
     INSTANCES,
@@ -82,9 +76,9 @@ def test_screens_are_sound(name, style, rows, cols, ii):
     # A screen claimed INFEASIBLE: the unscreened exact solver must
     # never contradict it with a mapping (timeout is inconclusive but
     # not a contradiction).
-    result = _unscreened_solver().map(dfg, mrrg)
+    verdict = exact_verdict(dfg, mrrg)
     claims = [w.rule for w in (s_witness, b_witness) if w is not None]
-    assert result.status is not MapStatus.MAPPED, (
+    assert not verdict.has_solution, (
         f"screen(s) {claims} wrongly refuted {name} on "
         f"{style} {rows}x{cols} II={ii}: solver found a mapping"
     )
@@ -98,5 +92,4 @@ def test_mappable_instance_passes_every_screen():
     mrrg = prune(build_mrrg_from_module(top, 1))
     assert first_witness(dfg, mrrg) is None
     assert first_bound_witness(dfg, mrrg) is None
-    result = _unscreened_solver().map(dfg, mrrg)
-    assert result.status is MapStatus.MAPPED
+    assert exact_verdict(dfg, mrrg).has_solution

@@ -9,7 +9,7 @@ from repro.mrrg import build_mrrg_from_module, prune
 from repro.service import fingerprint as fingerprint_mod
 from repro.service.core import MapRequest, MappingService
 from repro.service.fingerprint import fingerprint_request
-from repro.service.portfolio import PortfolioConfig, run_portfolio, single_stage
+from repro.service.portfolio import PortfolioConfig, run_portfolio
 from repro.service.telemetry import EventBus, EventLog
 
 
@@ -43,20 +43,6 @@ def test_portfolio_skips_all_stages_on_structural_witness(oversized_instance):
     assert event.fields["rule"] == "S001"
 
 
-def test_portfolio_pre_audit_can_be_disabled(oversized_instance, monkeypatch):
-    dfg, _top, mrrg = oversized_instance
-    monkeypatch.setattr(
-        "repro.service.portfolio.first_witness",
-        lambda *a: pytest.fail("screen ran despite pre_audit=False"),
-    )
-    config = PortfolioConfig(
-        stages=single_stage("greedy", time_limit=2.0), pre_audit=False
-    )
-    outcome = run_portfolio(dfg, mrrg, config)
-    # Greedy cannot prove anything about an oversized instance.
-    assert outcome.result.status is not MapStatus.INFEASIBLE
-
-
 def test_service_caches_structural_infeasible_verdict(
     oversized_instance, tmp_path
 ):
@@ -80,21 +66,6 @@ def test_fingerprint_tracks_analyzer_ruleset(oversized_instance, monkeypatch):
     )
     after = fingerprint_request(top, dfg, 1, {})
     assert before != after
-
-
-def test_portfolio_config_describe_includes_pre_audit():
-    config = PortfolioConfig(stages=single_stage("greedy"))
-    assert config.describe()["pre_audit"] is True
-    fp_on = fingerprint_request(
-        paper_architecture("homogeneous", "orthogonal", rows=2, cols=2),
-        kernel("accum"), 1, config.describe(),
-    )
-    off = PortfolioConfig(stages=single_stage("greedy"), pre_audit=False)
-    fp_off = fingerprint_request(
-        paper_architecture("homogeneous", "orthogonal", rows=2, cols=2),
-        kernel("accum"), 1, off.describe(),
-    )
-    assert fp_on != fp_off
 
 
 # ----------------------------------------------------------------------

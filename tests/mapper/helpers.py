@@ -1,10 +1,15 @@
-"""Test helpers: the paper's Fig. 4 MRRG fragments and a form digest."""
+"""Test helpers: the paper's Fig. 4 MRRG fragments, a form digest and
+the unscreened exact verdict."""
 
 import hashlib
 import json
 
 import numpy as np
 
+from repro.ilp.solve import solve_form
+from repro.ilp.standard_form import compile_model
+from repro.ilp.status import SolveStatus
+from repro.mapper.ilp_mapper import ILPMapperOptions, build_formulation
 from repro.mrrg.fragments import (  # noqa: F401
     MRRGCraft,
     crossed_operand_mrrg,
@@ -49,3 +54,23 @@ def form_digest(form) -> str:
         data = json.dumps(name_list).encode("utf-8")
         digest.update(len(data).to_bytes(8, "little") + data)
     return digest.hexdigest()
+
+
+def exact_verdict(dfg, mrrg, time_limit: float = 60.0) -> SolveStatus:
+    """The solver's verdict on (dfg, mrrg) with no screen, audit or verifier.
+
+    Builds the feasibility formulation, compiles it and solves it
+    directly: the reference that screened answers are checked against.
+    A formulation infeasible by construction (an op with no legal unit)
+    reads INFEASIBLE.
+    """
+    options = ILPMapperOptions(time_limit=time_limit, mip_rel_gap=1.0)
+    formulation = build_formulation(dfg, mrrg, options)
+    if formulation.infeasible_reason is not None:
+        return SolveStatus.INFEASIBLE
+    solution = solve_form(
+        compile_model(formulation.model),
+        time_limit=time_limit,
+        mip_rel_gap=1.0,
+    )
+    return solution.status

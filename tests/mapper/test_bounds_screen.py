@@ -4,13 +4,16 @@ import pytest
 
 from repro.analyze.bounds import finding_from_dict
 from repro.analyze.certify import check_finding
-from repro.arch import GridSpec, build_grid
+from repro.arch import GridSpec, build_grid, paper_architecture
 from repro.dfg import DFGBuilder
+from repro.ilp.status import SolveStatus
 from repro.kernels.registry import kernel
 from repro.mapper import ILPMapper, ILPMapperOptions, MapStatus, find_min_ii
 from repro.mapper.sweep import IISweep
 from repro.mrrg import build_mrrg_from_module, prune
 from repro.service.telemetry import EventBus, EventLog
+
+from .helpers import exact_verdict
 
 
 @pytest.fixture(scope="module")
@@ -63,24 +66,17 @@ def test_registry_kernels_skip_ii1_via_certificates(fabric_2x2, name):
     check_finding(finding_from_dict(refuted.certificate), dfg, mrrg=mrrg)
 
 
-def test_screen_can_be_disabled(fabric_2x2):
-    result = find_min_ii(
-        small_dfg(5), fabric_2x2, max_ii=1, bounds_screen=False,
-        mapper_factory=fast_mapper,
-    )
-    assert result.screened_iis == ()
-    assert result.attempts[1].status is MapStatus.INFEASIBLE
-
-
 def test_verdict_identical_with_and_without_screen(fabric_2x2):
-    with_screen = find_min_ii(
-        small_dfg(5), fabric_2x2, mapper_factory=fast_mapper
-    )
-    without = find_min_ii(
-        small_dfg(5), fabric_2x2, bounds_screen=False,
-        mapper_factory=fast_mapper,
-    )
-    assert with_screen.best_ii == without.best_ii == 2
+    dfg = small_dfg(5)
+    with_screen = find_min_ii(dfg, fabric_2x2, mapper_factory=fast_mapper)
+    assert with_screen.best_ii == 2
+    # The unscreened exact solver agrees at every II the search visited.
+    unscreened = [
+        exact_verdict(dfg, prune(build_mrrg_from_module(fabric_2x2, ii)))
+        for ii in (1, 2)
+    ]
+    assert unscreened[0] is SolveStatus.INFEASIBLE
+    assert unscreened[1].has_solution
 
 
 def test_sweep_emits_bounds_screen_telemetry(fabric_2x2):
@@ -108,16 +104,22 @@ def test_sweep_screen_shares_reach_cache(fabric_2x2):
     )
 
 
-def test_ilp_mapper_standalone_screen(fabric_2x2):
-    """ILPMapper.map itself refuses a B-refuted instance when enabled."""
-    dfg = kernel("add_16")
-    mrrg = prune(build_mrrg_from_module(fabric_2x2, 1))
-    result = ILPMapper(ILPMapperOptions(pre_audit=False)).map(dfg, mrrg)
+def test_ilp_mapper_standalone_screen():
+    """ILPMapper.map itself refuses an instance that the S-screen passes
+    and the B-screen refutes: 2x2-f on the paper's 2x2 fabric at II=1."""
+    dfg = kernel("2x2-f")
+    top = paper_architecture("homogeneous", "orthogonal", rows=2, cols=2)
+    mrrg = prune(build_mrrg_from_module(top, 1))
+    bus, log = EventBus(), EventLog()
+    bus.subscribe(log)
+    result = ILPMapper(ILPMapperOptions(time_limit=30), telemetry=bus).map(
+        dfg, mrrg
+    )
     assert result.status is MapStatus.INFEASIBLE
     assert result.proven_optimal
     assert result.certificate is not None
-    off = ILPMapper(
-        ILPMapperOptions(pre_audit=False, bounds_screen=False, time_limit=30)
-    ).map(dfg, mrrg)
-    assert off.status is MapStatus.INFEASIBLE  # solver agrees, the hard way
-    assert off.certificate is None
+    assert result.certificate["rule"] == "B001"
+    assert "pre-audit" not in log.kinds()  # the S-screen passed
+    assert "solve" not in log.kinds()
+    # The unscreened solver agrees, the hard way.
+    assert exact_verdict(dfg, mrrg, time_limit=30) is SolveStatus.INFEASIBLE

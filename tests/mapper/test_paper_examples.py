@@ -80,9 +80,9 @@ class TestExample2:
         # out, a, m, cc, q0, q1, q2, in0 = 8 resources.
         assert honest.objective == pytest.approx(8.0)
 
-        relaxed = ILPMapper(
-            ILPMapperOptions(mux_exclusivity=False, verify_result=False)
-        ).map(dfg_a(), mrrg_loop(tail_length=3))
+        relaxed = ILPMapper(ILPMapperOptions(mux_exclusivity=False)).map(
+            dfg_a(), mrrg_loop(tail_length=3)
+        )
         assert relaxed.objective == pytest.approx(5.0)  # out,a,m,cc,b
 
 

@@ -53,7 +53,7 @@ def fabric():
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_mapped_results_always_verify(fabric, dfg):
-    options = ILPMapperOptions(time_limit=60, verify_result=False)
+    options = ILPMapperOptions(time_limit=60)
     result = ILPMapper(options).map(dfg, fabric)
     assert result.status in (
         MapStatus.MAPPED,

@@ -445,9 +445,10 @@ served = MappingService(PortfolioConfig()).map_request(
 print(served.fingerprint, fingerprint_request(arch, dfg, 1, PortfolioConfig().describe()))
 """
 
-# Update only when the fingerprint scheme or RULESET_VERSION is bumped on
-# purpose: every store written before the bump stops being served.
-GOLDEN_FINGERPRINT = "2c2f2fc858cf7041acd8cd89b9f9e6b643e64fc329eea56a6da96d88a1deccf8"
+# Update only when the fingerprint scheme, RULESET_VERSION or the
+# PortfolioConfig.describe() document changes on purpose: every store
+# written before the change stops being served.
+GOLDEN_FINGERPRINT = "88abe81ca69e5de8ba288a4b99726024020504b35196d46c559eeac95b19d57a"
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

@@ -127,7 +127,7 @@ class TestPolicy:
         assert outcome.result.status is MapStatus.TIMEOUT
         assert not outcome.degraded
 
-    def test_proven_infeasible_stops_the_ladder(self):
+    def test_proven_infeasible_stops_the_ladder(self, monkeypatch):
         # A LOAD on a memory-less fabric is an instant structural proof.
         fabric = build_grid(
             GridSpec(rows=2, cols=2, with_memory=False), name="nomem"
@@ -135,14 +135,19 @@ class TestPolicy:
         mrrg = prune(build_mrrg_from_module(fabric, 1))
         b = DFGBuilder("loader")
         b.output(b.op("load", name="ld"), name="o")
-        # pre_audit off so the *stage's* proof (not the capacity screen)
-        # is what stops the ladder — the policy under test here.
+        # The portfolio's own screens silenced, so the *stage's* proof is
+        # what stops the ladder — the policy under test here.
+        monkeypatch.setattr(
+            "repro.service.portfolio.first_witness", lambda *a, **k: None
+        )
+        monkeypatch.setattr(
+            "repro.service.portfolio.first_bound_witness", lambda *a, **k: None
+        )
         config = PortfolioConfig(
             stages=(
                 StageSpec(mapper="ilp", backend="highs", time_limit=30.0),
                 StageSpec(mapper="ilp", backend="bnb", time_limit=30.0),
             ),
-            pre_audit=False,
         )
         outcome = run_portfolio(b.build(), mrrg, config)
         assert outcome.result.status is MapStatus.INFEASIBLE

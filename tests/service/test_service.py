@@ -151,21 +151,24 @@ class TestCaching:
         )
         assert again.cache_hit
 
-    def test_indefinite_verdicts_are_not_cached(self, tmp_path):
+    def test_indefinite_verdicts_are_not_cached(self, tmp_path, monkeypatch):
         fabric = build_grid(
             GridSpec(rows=2, cols=2, with_memory=False), name="nomem"
         )
         b = DFGBuilder("loader")
         b.output(b.op("load", name="ld"), name="o")
         dfg = b.build()
-        # pre_audit off: the capacity screen would prove this instance
-        # infeasible (a cacheable verdict); here we need the heuristic's
-        # indefinite GAVE_UP to check it is NOT cached.
-        portfolio = PortfolioConfig(
-            stages=_greedy_portfolio().stages, pre_audit=False
+        # The portfolio's screens would prove this instance infeasible (a
+        # cacheable verdict); silenced, the heuristic's indefinite
+        # GAVE_UP answers, and that must NOT be cached.
+        monkeypatch.setattr(
+            "repro.service.portfolio.first_witness", lambda *a, **k: None
+        )
+        monkeypatch.setattr(
+            "repro.service.portfolio.first_bound_witness", lambda *a, **k: None
         )
         service = MappingService(
-            portfolio=portfolio, cache_dir=tmp_path / "cache"
+            portfolio=_greedy_portfolio(), cache_dir=tmp_path / "cache"
         )
         first = service.map_request(MapRequest(dfg, fabric, contexts=1))
         assert first.result.status is MapStatus.GAVE_UP

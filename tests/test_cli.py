@@ -90,6 +90,27 @@ class TestCommands:
         assert "conflicting constraint(s)" in out
         assert "family: placement" in out
 
+    def test_analyze_bounds_certifies_refuted_ii(self, capsys):
+        assert main(
+            ["analyze", "bounds", "2x2-f", "--rows", "2", "--cols", "2",
+             "--max-ii", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "MII    = 2" in out
+        assert "II=1: B001" in out
+        assert "every certificate re-verified" in out
+
+    def test_analyze_bounds_rejects_unknown_benchmark(self, capsys):
+        assert main(["analyze", "bounds", "nope"]) == 2
+        assert "error: unknown benchmark 'nope'" in capsys.readouterr().out
+
+    def test_analyze_bounds_rejects_out_of_subset_loop(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("def k(a):\n    return a\n")
+        assert main(["analyze", "bounds", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "error:" in out and "F002" in out
+
     def test_map_command(self, capsys):
         code = main(
             ["map", "2x2-f", "--rows", "3", "--cols", "3",
