@@ -6,6 +6,13 @@ of CGRA-ME's architecture description: "Detailed functional blocks and
 routing structures can be constructed directly within this language, and
 also the higher level connectivity such as how top-level blocks are
 integrated together."
+
+Every edit goes through a mutator (``add_port``, ``add_fu``/``add_mux``/
+``add_reg``/``add_instance``, ``connect``), and every mutator bumps the
+module's :attr:`Module.revision`; names and primitive parameters are
+read-only.  A description computed from a module tree therefore stays
+current while the revision of every definition it reaches is unchanged
+(the mapping service keys its architecture memo this way).
 """
 
 from __future__ import annotations
@@ -23,10 +30,20 @@ class Module:
     def __init__(self, name: str):
         if not valid_name(name):
             raise ArchError(f"invalid module name {name!r}")
-        self.name = name
+        self._name = name
         self._ports: dict[str, Port] = {}
         self._elements: dict[str, Primitive | Module] = {}
         self._connections: list[tuple[PortRef, PortRef]] = []
+        self._revision = 0
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def revision(self) -> int:
+        """Number of edits made to this definition so far."""
+        return self._revision
 
     # ------------------------------------------------------------------
     # construction
@@ -36,6 +53,7 @@ class Module:
             raise ArchError(f"duplicate port {name!r} on module {self.name!r}")
         port = Port(name, direction)
         self._ports[name] = port
+        self._revision += 1
         return port
 
     def add_input(self, name: str) -> Port:
@@ -50,6 +68,7 @@ class Module:
         if name in self._elements:
             raise ArchError(f"duplicate element {name!r} in module {self.name!r}")
         self._elements[name] = element
+        self._revision += 1
 
     def add_fu(
         self,
@@ -95,6 +114,7 @@ class Module:
         if self._ref_direction(dst_ref) is not Direction.IN:
             raise ArchError(f"{dst_ref} is not a legal sink in {self.name!r}")
         self._connections.append((src_ref, dst_ref))
+        self._revision += 1
 
     def _ref_direction(self, ref: PortRef) -> Direction:
         """Effective direction of a reference *as seen inside this module*.

@@ -51,15 +51,29 @@ class FunctionalUnit(Primitive):
     kind = "fu"
 
     def __init__(self, ops: Iterable[OpCode], latency: int = 0, ii: int = 1):
-        self.ops = frozenset(ops)
-        if not self.ops:
+        self._ops = frozenset(ops)
+        if not self._ops:
             raise ArchError("functional unit must support at least one opcode")
         if latency < 0:
             raise ArchError("latency must be non-negative")
         if ii < 1:
             raise ArchError("initiation interval must be >= 1")
-        self.latency = latency
-        self.ii = ii
+        self._latency = latency
+        self._ii = ii
+
+    # Read-only, so every edit of an architecture goes through a Module
+    # mutator, which counts it (Module.revision).
+    @property
+    def ops(self) -> frozenset[OpCode]:
+        return self._ops
+
+    @property
+    def latency(self) -> int:
+        return self._latency
+
+    @property
+    def ii(self) -> int:
+        return self._ii
 
     @property
     def num_operand_ports(self) -> int:
@@ -96,7 +110,11 @@ class Multiplexer(Primitive):
     def __init__(self, num_inputs: int):
         if num_inputs < 1:
             raise ArchError("multiplexer needs at least one input")
-        self.num_inputs = num_inputs
+        self._num_inputs = num_inputs
+
+    @property
+    def num_inputs(self) -> int:
+        return self._num_inputs
 
     def ports(self) -> dict[str, Port]:
         result = {

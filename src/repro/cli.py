@@ -56,6 +56,18 @@ from .service.portfolio import PortfolioConfig, default_ladder, single_stage
 from .service.telemetry import read_events, summarize_events
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts and sizes: an integer of at least 1,
+    so a bad value is a usage error (exit 2) rather than a traceback."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_arch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--style",
@@ -69,9 +81,11 @@ def _add_arch_args(parser: argparse.ArgumentParser) -> None:
         default="orthogonal",
         help="interconnect style",
     )
-    parser.add_argument("--contexts", type=int, default=1, help="execution contexts (II)")
-    parser.add_argument("--rows", type=int, default=4)
-    parser.add_argument("--cols", type=int, default=4)
+    parser.add_argument(
+        "--contexts", type=_positive_int, default=1, help="execution contexts (II)"
+    )
+    parser.add_argument("--rows", type=_positive_int, default=4)
+    parser.add_argument("--cols", type=_positive_int, default=4)
 
 
 def _build_mrrg(args) -> MRRG:
@@ -111,30 +125,41 @@ class _InputError(Exception):
         self.code = code
 
 
-def _load_benchmark(name: str):
-    """Resolve a benchmark argument to ``(dfg, label, loop_kernel)``.
-
-    A ``.py`` path (or anything path-like) goes through the loop
-    frontend; everything else resolves through the kernel registry
-    (Table 1 plus dynamically registered kernels).
+def _compile_loop(path: str, func: str | None = None):
+    """Compile a Python loop file through the frontend.
 
     Raises:
-        _InputError: an unknown kernel name or an unreadable file (exit
-            2), or a loop file outside the frontend subset (exit 1).
+        _InputError: an unreadable file (exit 2), or a loop outside the
+            frontend subset (exit 1).
     """
     from .frontend import FrontendError, compile_path
 
     try:
-        if name.endswith(".py") or "/" in name:
-            loop = compile_path(name)
-            return loop.dfg, loop.name, loop
+        return compile_path(path, func=func)
+    except FrontendError as exc:
+        raise _InputError(f"{path}: {exc.format()}", 1) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}", 2) from None
+
+
+def _load_benchmark(name: str):
+    """Resolve a benchmark argument to ``(dfg, label, loop_kernel)``.
+
+    A ``.py`` path (or anything path-like) goes through the loop
+    frontend (:func:`_compile_loop`); everything else resolves through
+    the kernel registry (Table 1 plus dynamically registered kernels).
+
+    Raises:
+        _InputError: an unknown kernel name (exit 2), or what
+            :func:`_compile_loop` raises.
+    """
+    if name.endswith(".py") or "/" in name:
+        loop = _compile_loop(name)
+        return loop.dfg, loop.name, loop
+    try:
         return kernel(name), name, None
     except KeyError as exc:
         raise _InputError(exc.args[0], 2) from None
-    except FrontendError as exc:
-        raise _InputError(f"{name}: {exc.format()}", 1) from None
-    except OSError as exc:
-        raise _InputError(f"cannot read {name}: {exc}", 2) from None
 
 
 def _cmd_map(args) -> int:
@@ -279,7 +304,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_service_stats(args) -> int:
-    events = read_events(args.telemetry)
+    try:
+        events = read_events(args.telemetry)
+    except OSError as exc:
+        raise _InputError(f"cannot read {args.telemetry}: {exc}", 2) from None
     print(summarize_events(events), end="")
     return 0
 
@@ -287,6 +315,10 @@ def _cmd_service_stats(args) -> int:
 def _cmd_service_cache_info(args) -> int:
     from .service.cache import MappingCache
 
+    # Opening a store creates its objects/ directory: inspect only
+    # stores that exist, and write nothing.
+    if not (Path(args.cache_dir) / "objects").is_dir():
+        raise _InputError(f"no result cache at {args.cache_dir}", 2)
     info = MappingCache(args.cache_dir).stats()
     print(f"cache at {args.cache_dir}")
     print(f"  entries: {info['entries']} across {info['shards']} shards")
@@ -375,13 +407,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_frontend_compile(args) -> int:
-    from .frontend import FrontendError, VerificationError, compile_path
+    from .frontend import VerificationError
 
-    try:
-        loop = compile_path(args.source, func=args.func_name)
-    except FrontendError as exc:
-        print(f"error: {args.source}: {exc.format()}")
-        return 1
+    loop = _compile_loop(args.source, func=args.func_name)
     print(loop.describe())
     print(f"fingerprint: {loop.fingerprint()[:16]} (source-normalized)")
     if not args.skip_oracle:
@@ -400,19 +428,10 @@ def _cmd_frontend_compile(args) -> int:
 
 
 def _cmd_frontend_map(args) -> int:
-    from .frontend import (
-        FrontendError,
-        VerificationError,
-        compile_path,
-        verify_end_to_end,
-    )
+    from .frontend import VerificationError, verify_end_to_end
     from .mapper.simulate import SimulationError
 
-    try:
-        loop = compile_path(args.source, func=args.func_name)
-    except FrontendError as exc:
-        print(f"error: {args.source}: {exc.format()}")
-        return 1
+    loop = _compile_loop(args.source, func=args.func_name)
     print(loop.describe())
     architecture = paper_architecture(
         args.style, args.interconnect, rows=args.rows, cols=args.cols
@@ -629,8 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the Table 2 / Fig. 8 sweep")
     p_sweep.add_argument("--benchmarks", nargs="*", choices=BENCHMARK_NAMES)
     p_sweep.add_argument("--contexts", type=int, choices=(1, 2), default=None)
-    p_sweep.add_argument("--rows", type=int, default=4)
-    p_sweep.add_argument("--cols", type=int, default=4)
+    p_sweep.add_argument("--rows", type=_positive_int, default=4)
+    p_sweep.add_argument("--cols", type=_positive_int, default=4)
     p_sweep.add_argument("--time-limit", type=float, default=120.0)
     p_sweep.add_argument("--with-sa", action="store_true",
                          help="also run the SA baseline (Fig. 8)")
@@ -713,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe_map.add_argument("source", help="Python file with the kernel")
     p_fe_map.add_argument("--func", dest="func_name", default=None)
     _add_arch_args(p_fe_map)
-    p_fe_map.add_argument("--max-ii", type=int, default=4)
+    p_fe_map.add_argument("--max-ii", type=_positive_int, default=4)
     p_fe_map.add_argument("--time-limit", type=float, default=120.0)
     p_fe_map.add_argument("--seed", type=int, default=0)
     p_fe_map.set_defaults(func=_cmd_frontend_map)
@@ -769,10 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="orthogonal",
         help="interconnect style",
     )
-    p_bounds.add_argument("--rows", type=int, default=4)
-    p_bounds.add_argument("--cols", type=int, default=4)
+    p_bounds.add_argument("--rows", type=_positive_int, default=4)
+    p_bounds.add_argument("--cols", type=_positive_int, default=4)
     p_bounds.add_argument(
-        "--max-ii", type=int, default=8,
+        "--max-ii", type=_positive_int, default=8,
         help="largest II probed by the per-II refutation rules",
     )
     p_bounds.add_argument(

@@ -4,7 +4,10 @@
 runner call per mapping job.  For every :class:`MapRequest` it
 
 1. fingerprints (architecture module tree, DFG, context count, portfolio
-   config) — see :mod:`repro.service.fingerprint`;
+   config) — see :mod:`repro.service.fingerprint`; the architecture is
+   canonicalized once per edit, not once per request (an
+   :class:`~repro.service.fingerprint.ArchKey` memo per architecture
+   object, valid while no definition it reaches changes revision);
 2. serves a cache hit when the store already holds that fingerprint,
    re-validating the stored mapping against the live MRRG (a corrupt or
    stale entry degrades to a miss, never to a crash);
@@ -19,6 +22,7 @@ runner call per mapping job.  For every :class:`MapRequest` it
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from pathlib import Path
 
 from ..arch.module import Module
@@ -27,7 +31,12 @@ from ..mapper.base import MapResult, MapStatus
 from ..mrrg.build import MRRGFactory
 from ..mrrg.graph import MRRG
 from .cache import CacheError, MappingCache, entry_from_result, result_from_entry
-from .fingerprint import canonical_module, fingerprint_document, fingerprint_request
+from .fingerprint import (
+    ArchKey,
+    canonical_module,
+    fingerprint_document,
+    fingerprint_request,
+)
 from .portfolio import PortfolioConfig, run_portfolio
 from .telemetry import EventBus, EventLog, JsonlWriter
 
@@ -93,6 +102,11 @@ class MappingService:
         # context counts, so an II sweep flattens the module tree once.
         self._mrrgs: dict[tuple[str, int], MRRG] = {}
         self._factories: dict[str, MRRGFactory] = {}
+        # architecture -> (revisions of the definitions it reaches, key).
+        # The value holds no module, so a dropped architecture leaves.
+        self._arch_keys: weakref.WeakKeyDictionary[
+            Module, tuple[tuple[int, ...], ArchKey]
+        ] = weakref.WeakKeyDictionary()
 
     def close(self) -> None:
         if self._writer is not None:
@@ -106,10 +120,23 @@ class MappingService:
         self.close()
 
     # ------------------------------------------------------------------
+    def _arch_key(self, arch: Module) -> ArchKey:
+        """The architecture's canonical encoding and digest, computed
+        once per edit of the module tree rather than once per request."""
+        revisions = tuple(
+            module.revision for module in arch.referenced_modules().values()
+        )
+        memo = self._arch_keys.get(arch)
+        if memo is not None and memo[0] == revisions:
+            return memo[1]
+        document = canonical_module(arch)
+        key = ArchKey.of(document, fingerprint_document(document))
+        self._arch_keys[arch] = (revisions, key)
+        return key
+
     def mrrg_for(self, arch: Module, contexts: int) -> MRRG:
         """The pruned MRRG for an architecture, memoized in-process."""
-        arch_fp = fingerprint_document(canonical_module(arch))
-        return self._mrrg(arch, arch_fp, contexts)
+        return self._mrrg(arch, self._arch_key(arch).digest, contexts)
 
     def _mrrg(self, arch: Module, arch_fp: str, contexts: int) -> MRRG:
         """:meth:`mrrg_for` once the architecture's hash is known."""
@@ -130,15 +157,14 @@ class MappingService:
 
     def map_request(self, request: MapRequest) -> ServiceResult:
         """Serve one job: cache lookup, then the portfolio on a miss."""
-        # One canonical document keys both the request and the MRRG memo.
-        arch_doc = canonical_module(request.arch)
+        # One architecture key feeds both the request hash and the MRRG memo.
+        arch_key = self._arch_key(request.arch)
         fingerprint = fingerprint_request(
-            arch_doc,
+            arch_key,
             request.dfg,
             request.contexts,
             self.portfolio.describe(),
         )
-        arch_fp = fingerprint_document(arch_doc)
         self.bus.emit(
             "request",
             label=request.label or request.dfg.name,
@@ -148,7 +174,7 @@ class MappingService:
         if self.cache is not None:
             entry = self.cache.get(fingerprint)
             if entry is not None:
-                mrrg = self._mrrg(request.arch, arch_fp, request.contexts)
+                mrrg = self._mrrg(request.arch, arch_key.digest, request.contexts)
                 try:
                     result = result_from_entry(entry, request.dfg, mrrg)
                 except CacheError as exc:
@@ -173,7 +199,7 @@ class MappingService:
             else:
                 self.bus.emit("cache-miss", fingerprint=fingerprint)
 
-        mrrg = self._mrrg(request.arch, arch_fp, request.contexts)
+        mrrg = self._mrrg(request.arch, arch_key.digest, request.contexts)
         outcome = run_portfolio(
             request.dfg, mrrg, self.portfolio, telemetry=self.bus
         )

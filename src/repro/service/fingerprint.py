@@ -15,6 +15,7 @@ a renamed DFG is a different request even when isomorphic.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any
@@ -34,10 +35,14 @@ def _canonical_json(document: Any) -> str:
     )
 
 
+def _digest(encoding: str) -> str:
+    payload = encoding.encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()[: 2 * _HASH_PREFIX_BYTES]
+
+
 def fingerprint_document(document: Any) -> str:
     """SHA-256 hex digest of a JSON-able document's canonical encoding."""
-    payload = _canonical_json(document).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[: 2 * _HASH_PREFIX_BYTES]
+    return _digest(_canonical_json(document))
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +121,31 @@ def canonical_module(top: Module) -> dict[str, Any]:
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class ArchKey:
+    """An architecture's canonical encoding, kept to hash many requests.
+
+    Attributes:
+        encoding: the canonical JSON encoding of the
+            :func:`canonical_module` document.
+        digest: :func:`fingerprint_document` of that document.
+    """
+
+    encoding: str
+    digest: str
+
+    @classmethod
+    def of(cls, document: dict[str, Any], digest: str) -> "ArchKey":
+        """The key of a :func:`canonical_module` document whose
+        :func:`fingerprint_document` digest the caller computed."""
+        return cls(_canonical_json(document), digest)
+
+
 # ----------------------------------------------------------------------
 # Request fingerprint
 # ----------------------------------------------------------------------
 def fingerprint_request(
-    arch: Module | dict[str, Any],
+    arch: Module | ArchKey,
     dfg: DFG,
     contexts: int,
     config: dict[str, Any] | None = None,
@@ -129,26 +154,35 @@ def fingerprint_request(
 
     Args:
         arch: top module of the target architecture, or its
-            :func:`canonical_module` document when the caller already
-            holds it (the service reuses one for its MRRG memo key); both
-            give the same hash.
+            :class:`ArchKey` when the caller keeps one per architecture
+            (the service does); both give the same hash.
         dfg: the application graph.
         contexts: MRRG context count (the initiation interval).
         config: JSON-able mapper/portfolio configuration description
             (see :meth:`repro.service.portfolio.PortfolioConfig.describe`).
+
+    The hash is that of the canonical encoding of the document
+    ``{"version": 2, "analyze_ruleset", "arch", "dfg", "contexts",
+    "config"}``.  With sorted keys, ``"arch"`` comes second, so its
+    encoding is spliced in between the encodings of the keys before and
+    after it: the bytes are those of encoding the whole document.
 
     The analyzer rule-set version participates in the hash: a cached
     verdict can be *produced* by the pre-solve audit (a structural
     INFEASIBLE), so a rule change must invalidate previously cached
     answers rather than keep serving verdicts from retired rules.
     """
-    return fingerprint_document(
+    if isinstance(arch, ArchKey):
+        arch_encoding = arch.encoding
+    else:
+        arch_encoding = _canonical_json(canonical_module(arch))
+    before = _canonical_json({"analyze_ruleset": RULESET_VERSION})
+    after = _canonical_json(
         {
-            "version": 2,
-            "analyze_ruleset": RULESET_VERSION,
-            "arch": canonical_module(arch) if isinstance(arch, Module) else arch,
-            "dfg": canonical_dfg(dfg),
-            "contexts": contexts,
             "config": config or {},
+            "contexts": contexts,
+            "dfg": canonical_dfg(dfg),
+            "version": 2,
         }
     )
+    return _digest(f'{before[:-1]},"arch":{arch_encoding},{after[1:]}')

@@ -25,6 +25,7 @@ Escalation policy per stage outcome:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Any
 
@@ -144,7 +145,15 @@ class PortfolioConfig:
             raise ValueError("portfolio needs at least one stage")
 
     def describe(self) -> dict[str, Any]:
-        """JSON-able semantic description (feeds the request fingerprint)."""
+        """JSON-able semantic description (feeds the request fingerprint).
+
+        The config is frozen, so the document is built once per config
+        object and shared by every call: read it, never modify it.
+        """
+        return self._description
+
+    @functools.cached_property
+    def _description(self) -> dict[str, Any]:
         return {
             "stages": [stage.describe() for stage in self.stages],
             "stop_at_first_feasible": self.stop_at_first_feasible,

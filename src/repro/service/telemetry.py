@@ -71,12 +71,21 @@ class TelemetryEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
+        """Decode one line.
+
+        Raises:
+            ValueError, KeyError, TypeError: the line is not an event.
+        """
         payload = json.loads(line)
+        kind, fields = payload["kind"], payload.get("fields", {})
+        if not isinstance(kind, str) or not isinstance(fields, dict):
+            raise TypeError("not a telemetry event")
+        duration = payload.get("duration")
         return cls(
-            kind=payload["kind"],
+            kind=kind,
             timestamp=float(payload["ts"]),
-            duration=payload.get("duration"),
-            fields=payload.get("fields", {}),
+            duration=None if duration is None else float(duration),
+            fields=fields,
         )
 
 
@@ -160,12 +169,19 @@ class JsonlWriter:
 
 
 def read_events(path: str | Path) -> list[TelemetryEvent]:
-    """Load a telemetry JSONL file, skipping blank lines."""
+    """Load a telemetry JSONL file.
+
+    A line that does not hold an event (blank, torn by a writer killed
+    mid-line, not UTF-8, not an event object) is skipped and costs only
+    itself.
+    """
     events = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            if line.strip():
-                events.append(TelemetryEvent.from_json(line))
+            try:
+                events.append(TelemetryEvent.from_json(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError):
+                continue  # JSON, UTF-8 and field errors alike
     return events
 
 

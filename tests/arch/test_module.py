@@ -132,3 +132,45 @@ class TestReferencedModules:
         top.add_instance("y", a2)
         with pytest.raises(ArchError, match="two distinct module definitions"):
             top.referenced_modules()
+
+
+class TestRevision:
+    def test_every_mutator_bumps_the_revision(self):
+        pe = Module("pe")
+        revisions = [pe.revision]
+        pe.add_input("a")
+        pe.add_output("o")
+        pe.add_fu("alu", [OpCode.ADD])
+        pe.add_mux("m", 2)
+        pe.add_reg("r")
+        pe.add_instance("sub", Module("sub"))
+        pe.connect("this.a", "alu.in0")
+        revisions.append(pe.revision)
+        assert revisions == [0, 7]
+
+    def test_rejected_edit_keeps_the_revision(self):
+        pe = tiny_pe()
+        revision = pe.revision
+        with pytest.raises(ArchError):
+            pe.add_reg("r")
+        with pytest.raises(ArchError):
+            pe.connect("this.dout", "r.in")
+        assert pe.revision == revision
+
+    @pytest.mark.parametrize(
+        "owner, attribute, value",
+        [
+            ("module", "name", "other"),
+            ("fu", "latency", 3),
+            ("fu", "ii", 2),
+            ("fu", "ops", frozenset({OpCode.MUL})),
+            ("mux", "num_inputs", 4),
+        ],
+    )
+    def test_parameters_are_read_only(self, owner, attribute, value):
+        pe = tiny_pe()
+        target = {"module": pe, "fu": pe.element("alu"), "mux": pe.element("m")}[owner]
+        before = getattr(target, attribute)
+        with pytest.raises(AttributeError):
+            setattr(target, attribute, value)
+        assert getattr(target, attribute) == before

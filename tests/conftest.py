@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.arch import GridSpec, build_grid, paper_architecture
 from repro.arch.grid import heterogeneous_ops
 from repro.dfg import DFGBuilder
 from repro.mrrg import build_mrrg_from_module, prune
+
+# Property tests check the same examples on every run: each draws from a
+# seed derived from the test itself, so tier-1's runtime and coverage do
+# not change from run to run.  derandomize also turns the .hypothesis/
+# example database off (nothing is saved or replayed).  Each test keeps
+# its own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

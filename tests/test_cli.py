@@ -232,3 +232,70 @@ class TestFrontendCommands:
         assert code == 0
         assert "VERIFIED" in out
         assert "fabric replay matches the Python oracle" in out
+
+
+class TestBadInput:
+    """Bad paths and values end in one ``error:`` line and exit 2, never
+    a traceback."""
+
+    @pytest.mark.parametrize("command", ["compile", "map"])
+    def test_frontend_missing_source(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.py"
+        assert main(["frontend", command, str(missing)]) == 2
+        assert f"error: cannot read {missing}" in capsys.readouterr().out
+
+    def test_frontend_non_utf8_source(self, tmp_path, capsys):
+        garbled = tmp_path / "garbled.py"
+        garbled.write_bytes(b"def k(a):\n    return a\xff\n")
+        assert main(["frontend", "compile", str(garbled)]) == 2
+        assert f"error: cannot read {garbled}" in capsys.readouterr().out
+
+    def test_service_stats_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "events.jsonl"
+        assert main(["service", "stats", str(missing)]) == 2
+        assert f"error: cannot read {missing}" in capsys.readouterr().out
+
+    def test_service_stats_skips_unreadable_lines(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        good = '{"kind": "cache-hit", "ts": 1.0}\n'
+        events.write_bytes(
+            good.encode()
+            + b"\xff\xfe not utf-8\n"
+            + b"[1, 2]\n"
+            + b'{"kind": "stage-end", "ts": 2.0, "fields": [1]}\n'
+            + b'{"kind": "solve", "ts": 3.0, "duration": "slow"}\n'
+            + good.encode()
+            + b'{"kind": "cache-miss", "ts"'  # torn last line
+        )
+        assert main(["service", "stats", str(events)]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry: 2 events" in out
+        assert "cache: 2 hits / 0 misses" in out
+
+    def test_cache_info_missing_directory_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "cache"
+        assert main(["service", "cache-info", str(missing)]) == 2
+        assert f"error: no result cache at {missing}" in capsys.readouterr().out
+        assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["arch-info", "--rows", "0"],
+            ["arch-info", "--cols", "-1"],
+            ["arch-info", "--contexts", "0"],
+            ["arch-info", "--rows", "two"],
+            ["analyze", "bounds", "mac", "--rows", "0"],
+            ["analyze", "bounds", "mac", "--max-ii", "0"],
+            ["frontend", "map", "examples/loops/gather2.py", "--max-ii", "0"],
+            ["sweep", "--cols", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_size_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err or "invalid integer: 'two'" in err
+        assert "Traceback" not in err
