@@ -35,6 +35,7 @@ engages the greedy -> sa -> ilp escalation ladder.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,19 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for budgets in seconds: a finite number above 0,
+    so a bad value is a usage error (exit 2) rather than a run with no
+    budget."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
     return value
 
 
@@ -629,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mapper", choices=("ilp", "sa", "greedy", "portfolio"), default="ilp"
     )
     p_map.add_argument("--backend", choices=("highs", "bnb"), default="highs")
-    p_map.add_argument("--time-limit", type=float, default=120.0)
+    p_map.add_argument("--time-limit", type=_positive_float, default=120.0)
     p_map.add_argument("--optimal", action="store_true",
                        help="prove routing-cost optimality (not just feasibility)")
     p_map.add_argument("--seed", type=int, default=1, help="SA seed")
@@ -650,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--contexts", type=int, choices=(1, 2), default=None)
     p_sweep.add_argument("--rows", type=_positive_int, default=4)
     p_sweep.add_argument("--cols", type=_positive_int, default=4)
-    p_sweep.add_argument("--time-limit", type=float, default=120.0)
+    p_sweep.add_argument("--time-limit", type=_positive_float, default=120.0)
     p_sweep.add_argument("--with-sa", action="store_true",
                          help="also run the SA baseline (Fig. 8)")
     p_sweep.add_argument(
@@ -694,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
              "a Python loop file",
     )
     _add_arch_args(p_sim)
-    p_sim.add_argument("--time-limit", type=float, default=120.0)
+    p_sim.add_argument("--time-limit", type=_positive_float, default=120.0)
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -733,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe_map.add_argument("--func", dest="func_name", default=None)
     _add_arch_args(p_fe_map)
     p_fe_map.add_argument("--max-ii", type=_positive_int, default=4)
-    p_fe_map.add_argument("--time-limit", type=float, default=120.0)
+    p_fe_map.add_argument("--time-limit", type=_positive_float, default=120.0)
     p_fe_map.add_argument("--seed", type=int, default=0)
     p_fe_map.set_defaults(func=_cmd_frontend_map)
 

@@ -35,6 +35,11 @@ Implementation notes:
   (:attr:`ILPMapperOptions.proves_optimality`) also gets arrival and
   in-flow rows: every integer solution satisfies them, and they lift the
   LP bound (DESIGN.md section 5.7).
+* At II >= 2 the solver gets a copy of the compiled form with one
+  anchor op's context pinned, when :meth:`~repro.mrrg.graph.MRRG.rotation_period`
+  proves that shifting contexts maps the MRRG onto itself
+  (:func:`pin_anchor`, DESIGN.md section 5.8); the cached and audited
+  form stays the paper's.
 * The mapper pipeline compiles once and runs audit and solve on the
   compiled form; a :class:`~repro.mapper.sweep.FormulationCache` lets
   II sweeps and portfolio stages share the built+compiled formulation.
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable
 
 from ..analyze.bounds import first_bound_witness
@@ -952,6 +957,13 @@ class ILPMapper(Mapper):
                 proven_optimal=True,
             )
 
+        # The audited form stays the paper's; the solver gets a copy with
+        # one op's context pinned when a proven rotation makes the other
+        # contexts' mappings twins of equal cost (DESIGN.md section 5.8).
+        period = mrrg.rotation_period()
+        anchor = None
+        if period < mrrg.ii and opts.objective != "weighted":
+            anchor, form = pin_anchor(dfg, mrrg, formulation, form, period)
         solution = solve_form(
             form,
             backend=opts.backend,
@@ -964,6 +976,9 @@ class ILPMapper(Mapper):
             backend=opts.backend,
             status=solution.status.value,
             objective=solution.objective,
+            nodes=solution.nodes,
+            rotation_period=period,
+            anchor=anchor,
         )
         return self._to_result(dfg, mrrg, formulation, solution, formulation_time)
 
@@ -1021,6 +1036,33 @@ class ILPMapper(Mapper):
             solve_time=solution.wall_time,
             detail=detail,
         )
+
+
+def pin_anchor(
+    dfg: DFG,
+    mrrg: MRRG,
+    formulation: Formulation,
+    form: StandardForm,
+    period: int,
+) -> tuple[str, StandardForm]:
+    """Pin one op to contexts ``[0, period)``: (anchor, pinned copy).
+
+    ``period`` must be ``mrrg.rotation_period()``.  Shifting every context
+    by ``period`` maps the formulation and its route-usage objective onto
+    themselves, so some power of the shift moves any solution's anchor
+    into ``[0, period)`` at equal cost: the pinned form keeps an optimum
+    of ``form`` and every verdict (DESIGN.md section 5.8).  The anchor is
+    the op with the fewest F columns, the first in DFG op order on a tie;
+    its F columns at contexts ``>= period`` get upper bound 0 in a copy,
+    and ``form`` itself is left alone.
+    """
+    columns = Counter(op_name for _fu_id, op_name in formulation.f_vars)
+    anchor = min((op.name for op in dfg.ops), key=columns.__getitem__)
+    var_ub = form.var_ub.copy()
+    for (fu_id, op_name), var in formulation.f_vars.items():
+        if op_name == anchor and mrrg.node(fu_id).context >= period:
+            var_ub[var.index] = 0.0
+    return anchor, dataclasses.replace(form, var_ub=var_ub)
 
 
 def extract_mapping(

@@ -8,7 +8,8 @@ The MRRG (paper section 3.2) is a directed graph with two vertex kinds:
 The graph contains a replica of the device model per context; edges whose
 endpoints live in different contexts model values crossing cycles
 (registers, multi-cycle functional units), wrapping modulo the initiation
-interval.
+interval.  :meth:`MRRG.rotation_period` proves which context shifts map
+the built graph onto itself (DESIGN.md section 5.8).
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class MRRG:
         self._nodes: dict[str, MRRGNode] = {}
         self._fanouts: dict[str, list[str]] = {}
         self._fanins: dict[str, list[str]] = {}
+        self._rotation_period: int | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -106,6 +108,7 @@ class MRRG:
         self._nodes[node.node_id] = node
         self._fanouts[node.node_id] = []
         self._fanins[node.node_id] = []
+        self._rotation_period = None
         return node
 
     def add_edge(self, src: str, dst: str) -> None:
@@ -119,6 +122,7 @@ class MRRG:
             raise MRRGError(f"duplicate edge {src!r} -> {dst!r}")
         self._fanouts[src].append(dst)
         self._fanins[dst].append(src)
+        self._rotation_period = None
 
     def remove_node(self, node_id_: str) -> None:
         """Remove a node and all incident edges."""
@@ -128,6 +132,7 @@ class MRRG:
         for src in self._fanins.pop(node_id_):
             self._fanouts[src].remove(node_id_)
         del self._nodes[node_id_]
+        self._rotation_period = None
 
     # ------------------------------------------------------------------
     # queries
@@ -182,6 +187,74 @@ class MRRG:
         for src, dsts in self._fanouts.items():
             for dst in dsts:
                 yield (src, dst)
+
+    def rotation_period(self) -> int:
+        """The smallest context shift that maps this graph onto itself.
+
+        Returns the smallest ``s >= 1`` dividing II for which the shift
+        ``node_id(c, path, tag) -> node_id((c + s) % II, path, tag)`` is
+        an automorphism (see :meth:`_is_rotation`), or II when no proper
+        shift is one (so 1 at II=1).  The proof runs on this graph, never
+        on the architecture it came from: an unpipelined unit or a pruned
+        node breaks the symmetry it would suggest.
+
+        Memoized; :meth:`add_node`, :meth:`add_edge` and
+        :meth:`remove_node` reset the memo.  Node attributes are set while
+        the graph is built, before anyone asks.
+        """
+        if self._rotation_period is None:
+            self._rotation_period = next(
+                (
+                    shift
+                    for shift in range(1, self.ii)
+                    if self.ii % shift == 0 and self._is_rotation(shift)
+                ),
+                self.ii,
+            )
+        return self._rotation_period
+
+    def _is_rotation(self, shift: int) -> bool:
+        """Whether shifting every context by ``shift`` is an automorphism.
+
+        Every node needs an image with the same kind, path, tag, ops and
+        operand, at context ``(c + shift) % II``; no two nodes may share
+        an image; ``fu``, ``output`` and ``operand_ports`` must map onto
+        the image's; and the image's fanouts must be exactly the images
+        of the node's fanouts.
+        """
+        nodes = self._nodes
+        ii = self.ii
+        image = {
+            nid: node_id((node.context + shift) % ii, node.path, node.tag)
+            for nid, node in nodes.items()
+        }
+        if len(set(image.values())) != len(image):
+            return False
+
+        def mapped(ref: str | None) -> str | None:
+            # A dangling reference has no image and matches nothing.
+            return None if ref is None else image.get(ref, "")
+
+        fanouts = self._fanouts
+        for nid, node in nodes.items():
+            twin_id = image[nid]
+            twin = nodes.get(twin_id)
+            if (
+                twin is None
+                or twin.kind is not node.kind
+                or twin.context != (node.context + shift) % ii
+                or twin.path != node.path
+                or twin.tag != node.tag
+                or twin.ops != node.ops
+                or twin.operand != node.operand
+                or twin.fu != mapped(node.fu)
+                or twin.output != mapped(node.output)
+                or twin.operand_ports
+                != {i: mapped(p) for i, p in node.operand_ports.items()}
+                or set(fanouts[twin_id]) != {image[m] for m in fanouts[nid]}
+            ):
+                return False
+        return True
 
     def copy(self) -> "MRRG":
         clone = MRRG(self.name, self.ii)

@@ -299,3 +299,30 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "must be at least 1" in err or "invalid integer: 'two'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "mac", "--rows", "2", "--cols", "2", "--mapper", "greedy",
+             "--time-limit", "-1"],
+            ["map", "mac", "--rows", "2", "--cols", "2", "--mapper", "greedy",
+             "--time-limit", "nan"],
+            ["map", "mac", "--rows", "2", "--cols", "2", "--time-limit", "0"],
+            ["sweep", "--benchmarks", "mac", "--contexts", "1", "--rows", "2",
+             "--cols", "2", "--time-limit", "inf"],
+            ["simulate", "mac", "--rows", "2", "--cols", "2",
+             "--time-limit", "-0.5"],
+            ["frontend", "map", "examples/loops/gather2.py", "--rows", "2",
+             "--cols", "2", "--time-limit", "ten"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_budget_is_a_usage_error(self, capsys, argv):
+        """A budget must be a finite number of seconds above 0."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --time-limit:" in err
+        assert "must be a positive number" in err or "invalid number: 'ten'" in err
+        assert "Traceback" not in err
