@@ -112,27 +112,21 @@ def finding_from_dict(payload: Mapping) -> BoundFinding:
 
 
 # ----------------------------------------------------------------------
-# Candidate legality (mirrors build_formulation's candidate rule)
+# Candidate legality (the MRRG's capable_units, as build_formulation)
 # ----------------------------------------------------------------------
 def op_candidates(dfg: DFG, mrrg: MRRG) -> dict[str, list[MRRGNode]]:
-    """Per-op legal FuncUnit nodes: supports the opcode, has an output
-    port when the op produces a value, and covers every operand index.
+    """Per-op legal FuncUnit nodes (:meth:`MRRG.capable_units`): supports
+    the opcode, has an output port when the op produces a value, and
+    covers every operand index.
 
     An empty list is *kept* (unlike ``build_formulation``): B001 turns
     it into a trivial Hall violation with a one-op certificate.
     """
     produces = {v.producer for v in dfg.values()}
-    candidates: dict[str, list[MRRGNode]] = {}
-    for op in dfg.ops:
-        nodes = []
-        for fu in mrrg.function_nodes_supporting(op.opcode):
-            if op.name in produces and fu.output is None:
-                continue
-            if any(o not in fu.operand_ports for o in range(op.opcode.arity)):
-                continue
-            nodes.append(fu)
-        candidates[op.name] = nodes
-    return candidates
+    return {
+        op.name: list(mrrg.capable_units(op.opcode, op.name in produces))
+        for op in dfg.ops
+    }
 
 
 # ----------------------------------------------------------------------
@@ -337,37 +331,19 @@ def routability_screen(
     dfg: DFG,
     mrrg: MRRG,
     candidates: dict[str, list[MRRGNode]] | None = None,
-    reach: object | None = None,
 ) -> BoundFinding | None:
     """For every (producer, sink) pair: some candidate output node must
     reach some candidate operand-port node through the route network.
 
     Operand ports are taken *permissively* (either port of a
     commutative op counts), so a refutation here is sound for both
-    ``strict`` and ``commutative`` operand modes.  ``reach`` may be a
-    shared :class:`repro.mapper.ilp_mapper.RouteReachCache`-compatible
-    object (anything with ``forward(set) -> set``).
+    ``strict`` and ``commutative`` operand modes.  The reachable sets
+    are :meth:`MRRG.forward_reach`'s, shared with formulation builds on
+    the same MRRG.
     """
     if candidates is None:
         candidates = op_candidates(dfg, mrrg)
     route_ids = {node.node_id for node in mrrg.route_nodes()}
-    local_memo: dict[frozenset[str], set[str]] = {}
-
-    def forward_reach(starts: set[str]) -> set[str]:
-        if reach is not None:
-            return reach.forward(starts)  # type: ignore[attr-defined]
-        key = frozenset(starts)
-        held = local_memo.get(key)
-        if held is None:
-            seen = set(starts)
-            queue = deque(starts)
-            while queue:
-                for nxt in mrrg.route_fanouts(queue.popleft()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            held = local_memo[key] = seen
-        return held
 
     for value in dfg.values():
         producer = value.producer
@@ -378,7 +354,7 @@ def routability_screen(
         }
         if not sources:
             continue  # no legal placement at all: B001's job
-        cut = forward_reach(sources)
+        cut = mrrg.forward_reach(sources)
         for snk in value.sinks:
             targets = _terminal_targets(dfg, snk, candidates)
             if targets and not (cut & targets):
@@ -499,7 +475,6 @@ def saturation_screen(dfg: DFG, mrrg: MRRG) -> BoundFinding | None:
 def prove_bounds(
     dfg: DFG,
     mrrg: MRRG,
-    reach: object | None = None,
     first_only: bool = False,
 ) -> list[BoundFinding]:
     """Run the per-II refutation rules (B001, B004, B003) on one MRRG.
@@ -512,7 +487,7 @@ def prove_bounds(
     for check in (
         lambda: hall_screen(dfg, mrrg, candidates),
         lambda: saturation_screen(dfg, mrrg),
-        lambda: routability_screen(dfg, mrrg, candidates, reach),
+        lambda: routability_screen(dfg, mrrg, candidates),
     ):
         finding = check()
         if finding is not None:
@@ -522,11 +497,9 @@ def prove_bounds(
     return findings
 
 
-def first_bound_witness(
-    dfg: DFG, mrrg: MRRG, reach: object | None = None
-) -> BoundFinding | None:
+def first_bound_witness(dfg: DFG, mrrg: MRRG) -> BoundFinding | None:
     """First fatal B-rule finding for (dfg, mrrg), or None."""
-    for finding in prove_bounds(dfg, mrrg, reach=reach, first_only=True):
+    for finding in prove_bounds(dfg, mrrg, first_only=True):
         if finding.fatal:
             return finding
     return None

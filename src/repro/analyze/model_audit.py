@@ -63,6 +63,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..dfg.graph import DFG
+from ..dfg.opcodes import OpCode
 from ..ilp.expr import Sense
 from ..ilp.standard_form import StandardForm
 from ..mrrg.graph import MRRG
@@ -364,20 +365,23 @@ def screen_instance(dfg: DFG, mrrg: MRRG) -> list[AuditFinding]:
     # S002: per operation class, capable units must cover the class.  An
     # op class here is (opcode, needs_output): ops of the same class
     # compete for exactly the same units (legality is per-opcode and a
-    # producer additionally needs an output port).
+    # producer additionally needs an output port).  Counted from the
+    # opcode index, not MRRG.capable_units: S002 does not ask a unit to
+    # cover every operand index.
     produces = {v.producer for v in dfg.values()}
-    demand: dict[tuple[str, bool], int] = {}
+    demand: dict[tuple[OpCode, bool], int] = {}
     for op in dfg.ops:
-        key = (op.opcode.value, op.name in produces)
+        key = (op.opcode, op.name in produces)
         demand[key] = demand.get(key, 0) + 1
-    for (opcode_name, needs_output), count in sorted(demand.items()):
-        capable = 0
-        for fu in function_nodes:
-            if not any(op.value == opcode_name for op in (fu.ops or ())):
-                continue
-            if needs_output and fu.output is None:
-                continue
-            capable += 1
+    for (opcode, needs_output), count in sorted(
+        demand.items(), key=lambda item: (item[0][0].value, item[0][1])
+    ):
+        opcode_name = opcode.value
+        capable = sum(
+            1
+            for fu in mrrg.function_nodes_supporting(opcode)
+            if not (needs_output and fu.output is None)
+        )
         if count > capable:
             what = f"{opcode_name} (value-producing)" if needs_output else opcode_name
             findings.append(AuditFinding(

@@ -103,12 +103,15 @@ def solve_highs_form(
             gap = getattr(result, "mip_gap", None)
             if gap is not None and math.isfinite(gap) and gap > 1e-9:
                 status = SolveStatus.FEASIBLE
+    # milp leaves the node count None for infeasibility proofs and for
+    # timeouts without an incumbent: unreported, not zero.
+    nodes = getattr(result, "mip_node_count", None)
     return Solution(
         status=status,
         objective=objective,
         values=values,
         wall_time=elapsed,
         backend="highs",
-        nodes=int(getattr(result, "mip_node_count", 0) or 0),
+        nodes=None if nodes is None else int(nodes),
         message=str(result.message),
     )

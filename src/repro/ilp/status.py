@@ -45,7 +45,7 @@ class Solution:
         values: var-index -> value for the incumbent (empty without one).
         wall_time: seconds spent in the backend.
         backend: backend identifier ("highs" or "bnb").
-        nodes: branch-and-bound nodes explored (0 if unreported).
+        nodes: branch-and-bound nodes explored (None if unreported).
         message: backend-specific detail, useful for ERROR status.
     """
 
@@ -54,7 +54,7 @@ class Solution:
     values: dict[int, float] = dataclasses.field(default_factory=dict)
     wall_time: float = 0.0
     backend: str = ""
-    nodes: int = 0
+    nodes: int | None = None
     message: str = ""
 
     def value(self, var: Var) -> float:

@@ -8,7 +8,6 @@ from .ilp_mapper import (
     Formulation,
     ILPMapper,
     ILPMapperOptions,
-    RouteReachCache,
     build_formulation,
     extract_mapping,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Mapper",
     "Mapping",
     "MappingFormatError",
-    "RouteReachCache",
     "RoutingResult",
     "SAMapper",
     "SAMapperOptions",

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable
 
 from ..analyze.bounds import first_bound_witness
@@ -160,50 +160,6 @@ class ILPMapperOptions:
         )
 
 
-class RouteReachCache:
-    """Memoized forward/backward route reachability over one MRRG.
-
-    Within one formulation build, every producer whose candidate units
-    share output ports issues the same BFS; across builds on the same
-    MRRG (portfolio stages, repeated service jobs) the sets are reused
-    outright.  Keys are ``frozenset`` of start node ids — the BFS result
-    depends only on the start *set*, never on iteration order.
-    """
-
-    def __init__(self, mrrg: MRRG):
-        self.mrrg = mrrg
-        self._forward: dict[frozenset[str], set[str]] = {}
-        self._backward: dict[frozenset[str], set[str]] = {}
-
-    def forward(self, starts: set[str]) -> set[str]:
-        key = frozenset(starts)
-        cached = self._forward.get(key)
-        if cached is None:
-            cached = _route_reach(starts, self.mrrg.route_fanouts)
-            self._forward[key] = cached
-        return cached
-
-    def backward(self, starts: set[str]) -> set[str]:
-        key = frozenset(starts)
-        cached = self._backward.get(key)
-        if cached is None:
-            cached = _route_reach(starts, self.mrrg.route_fanins)
-            self._backward[key] = cached
-        return cached
-
-
-def _route_reach(starts: set[str], neighbors) -> set[str]:
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        current = queue.popleft()
-        for nxt in neighbors(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 @dataclasses.dataclass
 class Formulation:
     """The built model plus the variable maps needed for extraction."""
@@ -258,21 +214,17 @@ def build_formulation(
     dfg: DFG,
     mrrg: MRRG,
     options: ILPMapperOptions | None = None,
-    reach_cache: RouteReachCache | None = None,
 ) -> Formulation:
     """Construct the ILP of paper section 4 for (dfg, mrrg).
 
     Args:
-        dfg/mrrg: the mapping instance.
+        dfg/mrrg: the mapping instance; candidate units and route
+            reachability come from the MRRG's query index, so repeated
+            builds on one MRRG share them.
         options: formulation knobs (fresh defaults when omitted).
-        reach_cache: optional memoized reachability over ``mrrg`` —
-            pass one shared instance when building repeatedly on the
-            same MRRG (the II-sweep engine does).
     """
     options = options or ILPMapperOptions()
     assert_valid(dfg)
-    if reach_cache is None:
-        reach_cache = RouteReachCache(mrrg)
     model = Model(f"map_{dfg.name}_onto_{mrrg.name}")
     empty = Formulation(model, {}, {}, {}, {})
 
@@ -283,15 +235,9 @@ def build_formulation(
     sinks_of = {v.producer: v.sinks for v in values}
     produces = {v.producer for v in values}
 
-    candidates: dict[str, list[MRRGNode]] = {}
+    candidates: dict[str, tuple[MRRGNode, ...]] = {}
     for op in dfg.ops:
-        nodes = []
-        for fu in mrrg.function_nodes_supporting(op.opcode):
-            if op.name in produces and fu.output is None:
-                continue
-            if any(o not in fu.operand_ports for o in range(op.opcode.arity)):
-                continue
-            nodes.append(fu)
+        nodes = mrrg.capable_units(op.opcode, op.name in produces)
         if not nodes:
             empty.infeasible_reason = (
                 f"no functional unit can host {op.name!r} ({op.opcode})"
@@ -331,14 +277,14 @@ def build_formulation(
     out_sets: dict[str, set[str]] = {}
     for producer in sinks_of:
         starts = {fu.output for fu in candidates[producer] if fu.output}
-        out_sets[producer] = reach_cache.forward(starts)
+        out_sets[producer] = mrrg.forward_reach(starts)
 
     usable3: dict[tuple[str, Sink], set[str]] = {}
     usable: dict[str, set[str]] = {}
     for producer, sinks in sinks_of.items():
         union: set[str] = set()
         for snk in sinks:
-            bwd = reach_cache.backward(set(terminal_ports[(producer, snk)]))
+            bwd = mrrg.backward_reach(terminal_ports[(producer, snk)])
             reach = out_sets[producer] & bwd
             if not reach:
                 empty.infeasible_reason = (
@@ -451,7 +397,7 @@ def build_formulation(
 def _emit_bound_rows(
     model: Model,
     mrrg: MRRG,
-    candidates: dict[str, list[MRRGNode]],
+    candidates: dict[str, tuple[MRRGNode, ...]],
     terminal_ports: dict[tuple[str, Sink], dict[str, str]],
     sorted_u3: dict[tuple[str, Sink], list[str]],
     f_vars: dict[tuple[str, str], Var],
@@ -488,17 +434,13 @@ def _emit_bound_rows(
     # In-flow: a used node with a single route fan-in is fed through it.
     # The producer's FU, not a route node, feeds its candidate outputs;
     # (9) already balances nodes with several fan-ins.
-    fanin_memo: dict[str, tuple[str, ...]] = {}
     route_fanins = mrrg.route_fanins
     for (producer, snk), nodes in sorted_u3.items():
         outputs = {fu.output for fu in candidates[producer]}
         for node_id in nodes:
             if node_id in outputs:
                 continue
-            fanins = fanin_memo.get(node_id)
-            if fanins is None:
-                fanins = route_fanins(node_id)
-                fanin_memo[node_id] = fanins
+            fanins = route_fanins(node_id)
             if len(fanins) != 1:
                 continue
             writer("inflow").pairs_row(
@@ -535,7 +477,7 @@ def _emit_rows_blockwise(
     model: Model,
     options: ILPMapperOptions,
     mrrg: MRRG,
-    candidates: dict[str, list[MRRGNode]],
+    candidates: dict[str, tuple[MRRGNode, ...]],
     terminal_ports: dict[tuple[str, Sink], dict[str, str]],
     sinks_of: dict[str, tuple[Sink, ...]],
     sorted_u3: dict[tuple[str, Sink], list[str]],
@@ -589,7 +531,6 @@ def _emit_rows_blockwise(
                 )
                 pos += len(nodes)
 
-    fanout_memo: dict[str, tuple[str, ...]] = {}
     route_fanouts = mrrg.route_fanouts
 
     # ``writer(family)`` is called at each emission point (not hoisted
@@ -662,11 +603,7 @@ def _emit_rows_blockwise(
                 if var_idx is None:
                     continue
                 pairs = [(var_idx, 1.0)]
-                fanouts = fanout_memo.get(node_id)
-                if fanouts is None:
-                    fanouts = route_fanouts(node_id)
-                    fanout_memo[node_id] = fanouts
-                for m in fanouts:
+                for m in route_fanouts(node_id):
                     fo = get(m)
                     if fo is not None:
                         pairs.append((fo, -1.0))
@@ -851,13 +788,8 @@ class ILPMapper(Mapper):
                 )
                 return formulation, form
 
-        reach_cache = (
-            self.form_cache.reach_cache_for(mrrg)
-            if self.form_cache is not None
-            else None
-        )
         build_start = time.perf_counter()
-        formulation = build_formulation(dfg, mrrg, opts, reach_cache=reach_cache)
+        formulation = build_formulation(dfg, mrrg, opts)
         self._emit(
             "model-build",
             duration=time.perf_counter() - build_start,
@@ -906,13 +838,8 @@ class ILPMapper(Mapper):
                 detail=f"structural witness {witness.rule}: {witness.message}",
                 proven_optimal=True,
             )
-        reach = (
-            self.form_cache.reach_cache_for(mrrg)
-            if self.form_cache is not None
-            else None
-        )
         screen_start = time.perf_counter()
-        finding = first_bound_witness(dfg, mrrg, reach=reach)
+        finding = first_bound_witness(dfg, mrrg)
         self._emit(
             "bounds-screen",
             duration=time.perf_counter() - screen_start,

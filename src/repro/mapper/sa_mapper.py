@@ -192,19 +192,14 @@ class SAMapper(Mapper):
 
 
 def _candidates(dfg: DFG, mrrg: MRRG) -> dict[str, list[str]] | None:
+    """Per-op ids of :meth:`MRRG.capable_units`; None when an op has none."""
     produces = {v.producer for v in dfg.values()}
     result: dict[str, list[str]] = {}
     for op in dfg.ops:
-        fus = []
-        for fu in mrrg.function_nodes_supporting(op.opcode):
-            if op.name in produces and fu.output is None:
-                continue
-            if any(o not in fu.operand_ports for o in range(op.opcode.arity)):
-                continue
-            fus.append(fu.node_id)
+        fus = mrrg.capable_units(op.opcode, op.name in produces)
         if not fus:
             return None
-        result[op.name] = fus
+        result[op.name] = [fu.node_id for fu in fus]
     return result
 
 

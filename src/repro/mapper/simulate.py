@@ -155,7 +155,7 @@ class FabricSimulator:
     def _eval_route(self, node: MRRGNode, values: dict[str, int], cycle: int) -> None:
         node_id = node.node_id
         fanins = self.mrrg.fanins(node_id)
-        route_fanins = [f for f in fanins if self.mrrg.node(f).is_route]
+        route_fanins = self.mrrg.route_fanins(node_id)
         if node.tag == "out" and any(
             self.mrrg.node(f).is_route and self.mrrg.node(f).tag == "in"
             and self.mrrg.node(f).path == node.path

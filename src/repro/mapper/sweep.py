@@ -2,11 +2,10 @@
 
 * :class:`FormulationCache` — shares the built *and compiled*
   formulation across repeated :meth:`ILPMapper.map` calls on the same
-  (DFG, MRRG, formulation options) instance, plus one
-  :class:`~repro.mapper.ilp_mapper.RouteReachCache` per MRRG so
-  route-reachability BFS results carry across option variants.  The
-  portfolio keeps one per request, so its ``ilp-highs`` and ``ilp-bnb``
-  rungs build and compile once;
+  (DFG, MRRG, formulation options) instance.  The portfolio keeps one
+  per request, so its ``ilp-highs`` and ``ilp-bnb`` rungs build and
+  compile once (route reachability is memoized on the MRRG itself, so
+  it carries across option variants and screens);
 * :class:`IISweep` — the engine behind
   :func:`repro.mapper.search.find_min_ii`: walks II = 1..max_ii for one
   (DFG, architecture) pair, flattening the architecture once (via
@@ -37,12 +36,7 @@ from ..ilp.standard_form import StandardForm
 from ..mrrg.build import MRRGFactory
 from ..mrrg.graph import MRRG, MRRGNode
 from .base import Mapper, MapResult, MapStatus
-from .ilp_mapper import (
-    Formulation,
-    ILPMapper,
-    ILPMapperOptions,
-    RouteReachCache,
-)
+from .ilp_mapper import Formulation, ILPMapper, ILPMapperOptions
 
 
 @dataclasses.dataclass
@@ -72,7 +66,6 @@ class FormulationCache:
 
     def __init__(self):
         self._entries: dict[tuple, _CacheEntry] = {}
-        self._reach: dict[int, tuple[MRRG, RouteReachCache]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -105,14 +98,6 @@ class FormulationCache:
             formulation=formulation,
             form=form,
         )
-
-    def reach_cache_for(self, mrrg: MRRG) -> RouteReachCache:
-        """The shared route-reachability cache for ``mrrg``."""
-        held = self._reach.get(id(mrrg))
-        if held is None or held[0] is not mrrg:
-            held = (mrrg, RouteReachCache(mrrg))
-            self._reach[id(mrrg)] = held
-        return held[1]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -167,13 +152,12 @@ class IISweep:
 
     def screen(self, ii: int) -> SweepAttempt | None:
         """Run the bounds prover at ``ii``; a refutation becomes a
-        synthetic proven-INFEASIBLE attempt (no mapper runs), sharing
-        its reachability BFS with later formulation builds."""
+        synthetic proven-INFEASIBLE attempt (no mapper runs).  Its
+        reachability BFS is memoized on the MRRG, which later
+        formulation builds at ``ii`` share."""
         mrrg = self.mrrg(ii)
         began = time.perf_counter()
-        finding = first_bound_witness(
-            self.dfg, mrrg, reach=self.form_cache.reach_cache_for(mrrg)
-        )
+        finding = first_bound_witness(self.dfg, mrrg)
         if self.telemetry is not None:
             self.telemetry.emit(
                 "bounds-screen",

@@ -56,11 +56,11 @@ def prune(mrrg: MRRG) -> MRRG:
     from stopping anywhere else).  Removal iterates to a fixed point via
     forward/backward reachability.  Returns a new, pruned MRRG.
     """
-    forward: set[str] = set()
-    queue: deque[str] = deque()
-    for node in mrrg.function_nodes():
-        forward.add(node.node_id)
-        queue.append(node.node_id)
+    # The node list is read directly: the unpruned graph is discarded, so
+    # building its query index would be wasted work.
+    units = [node.node_id for node in mrrg.nodes if node.is_function]
+    forward: set[str] = set(units)
+    queue: deque[str] = deque(units)
     while queue:
         current = queue.popleft()
         for nxt in mrrg.fanouts(current):
@@ -68,10 +68,8 @@ def prune(mrrg: MRRG) -> MRRG:
                 forward.add(nxt)
                 queue.append(nxt)
 
-    backward: set[str] = set()
-    for node in mrrg.function_nodes():
-        backward.add(node.node_id)
-        queue.append(node.node_id)
+    backward: set[str] = set(units)
+    queue.extend(units)
     while queue:
         current = queue.popleft()
         for prev in mrrg.fanins(current):
@@ -90,16 +88,7 @@ def prune(mrrg: MRRG) -> MRRG:
 
 def reachable_route_nodes(mrrg: MRRG, start: str) -> set[str]:
     """Route nodes reachable from ``start`` without crossing FuncUnits."""
-    seen: set[str] = set()
-    queue: deque[str] = deque([start])
-    while queue:
-        current = queue.popleft()
-        for nxt in mrrg.fanouts(current):
-            if nxt in seen or not mrrg.node(nxt).is_route:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return seen
+    return set(mrrg.forward_reach(mrrg.route_fanouts(start)))
 
 
 def contexts_used(mrrg: MRRG) -> dict[int, int]:

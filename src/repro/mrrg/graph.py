@@ -10,12 +10,16 @@ endpoints live in different contexts model values crossing cycles
 (registers, multi-cycle functional units), wrapping modulo the initiation
 interval.  :meth:`MRRG.rotation_period` proves which context shifts map
 the built graph onto itself (DESIGN.md section 5.8).
+
+Every mapping layer reads the same few facts off the graph; :class:`MRRG`
+derives them once per graph, in a query index (DESIGN.md section 9.3).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from collections import deque
 from collections.abc import Iterable, Iterator
 
 from ..dfg.opcodes import OpCode
@@ -82,8 +86,68 @@ def node_id(context: int, path: str, tag: str) -> str:
     return f"c{context}:{path}.{tag}"
 
 
+class _QueryIndex:
+    """What the queries of one graph state derive, computed once.
+
+    Adjacency and node tuples are built up front; the per-opcode,
+    per-start-set and rotation-period entries are memoized on first ask.
+    """
+
+    __slots__ = (
+        "function_nodes", "route_nodes", "route_fanouts", "route_fanins",
+        "supporting", "capable", "forward", "backward", "rotation_period",
+    )
+
+    def __init__(
+        self,
+        nodes: dict[str, MRRGNode],
+        fanouts: dict[str, list[str]],
+        fanins: dict[str, list[str]],
+    ):
+        self.function_nodes = tuple(n for n in nodes.values() if n.is_function)
+        self.route_nodes = tuple(n for n in nodes.values() if n.is_route)
+        route = {n.node_id for n in self.route_nodes}
+        self.route_fanouts = {
+            nid: tuple([m for m in dsts if m in route])
+            for nid, dsts in fanouts.items()
+        }
+        self.route_fanins = {
+            nid: tuple([m for m in srcs if m in route])
+            for nid, srcs in fanins.items()
+        }
+        self.supporting: dict[OpCode, tuple[MRRGNode, ...]] = {}
+        self.capable: dict[tuple[OpCode, bool], tuple[MRRGNode, ...]] = {}
+        self.forward: dict[frozenset[str], set[str]] = {}
+        self.backward: dict[frozenset[str], set[str]] = {}
+        self.rotation_period: int | None = None
+
+
+def _bfs(
+    starts: Iterable[str], adjacency: dict[str, tuple[str, ...]]
+) -> set[str]:
+    """``starts`` plus every node reachable from them through ``adjacency``."""
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for nxt in adjacency[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 class MRRG:
-    """The modulo routing resource graph."""
+    """The modulo routing resource graph.
+
+    Queries read a private index built on the first one and dropped by
+    :meth:`add_node`, :meth:`add_edge` and :meth:`remove_node`.  Node
+    attributes (``ops``, ``output``, ``operand_ports``...) are set while
+    the graph is built, before the first query, and the three mutators
+    are the only edits: an attribute changed in place later is not seen.
+    :meth:`copy`, :meth:`subgraph` and
+    :func:`~repro.mrrg.analysis.prune` return fresh graphs with fresh
+    indexes.
+    """
 
     def __init__(self, name: str, ii: int):
         if ii < 1:
@@ -93,7 +157,13 @@ class MRRG:
         self._nodes: dict[str, MRRGNode] = {}
         self._fanouts: dict[str, list[str]] = {}
         self._fanins: dict[str, list[str]] = {}
-        self._rotation_period: int | None = None
+        self._index: _QueryIndex | None = None
+
+    def _query(self) -> _QueryIndex:
+        """The query index of the current graph, built on first use."""
+        if self._index is None:
+            self._index = _QueryIndex(self._nodes, self._fanouts, self._fanins)
+        return self._index
 
     # ------------------------------------------------------------------
     # construction
@@ -108,7 +178,7 @@ class MRRG:
         self._nodes[node.node_id] = node
         self._fanouts[node.node_id] = []
         self._fanins[node.node_id] = []
-        self._rotation_period = None
+        self._index = None
         return node
 
     def add_edge(self, src: str, dst: str) -> None:
@@ -122,7 +192,7 @@ class MRRG:
             raise MRRGError(f"duplicate edge {src!r} -> {dst!r}")
         self._fanouts[src].append(dst)
         self._fanins[dst].append(src)
-        self._rotation_period = None
+        self._index = None
 
     def remove_node(self, node_id_: str) -> None:
         """Remove a node and all incident edges."""
@@ -132,7 +202,7 @@ class MRRG:
         for src in self._fanins.pop(node_id_):
             self._fanouts[src].remove(node_id_)
         del self._nodes[node_id_]
-        self._rotation_period = None
+        self._index = None
 
     # ------------------------------------------------------------------
     # queries
@@ -164,21 +234,76 @@ class MRRG:
         return tuple(self._fanins[node_id_])
 
     def route_fanouts(self, node_id_: str) -> tuple[str, ...]:
-        return tuple(
-            n for n in self._fanouts[node_id_] if self._nodes[n].is_route
-        )
+        """The route-node fan-outs of a node, in fan-out order."""
+        return self._query().route_fanouts[node_id_]
 
     def route_fanins(self, node_id_: str) -> tuple[str, ...]:
-        return tuple(n for n in self._fanins[node_id_] if self._nodes[n].is_route)
+        """The route-node fan-ins of a node, in fan-in order."""
+        return self._query().route_fanins[node_id_]
 
     def function_nodes(self) -> tuple[MRRGNode, ...]:
-        return tuple(n for n in self._nodes.values() if n.is_function)
+        """Every FuncUnit node, in insertion order."""
+        return self._query().function_nodes
 
     def route_nodes(self) -> tuple[MRRGNode, ...]:
-        return tuple(n for n in self._nodes.values() if n.is_route)
+        """Every RouteRes node, in insertion order."""
+        return self._query().route_nodes
 
     def function_nodes_supporting(self, opcode: OpCode) -> tuple[MRRGNode, ...]:
-        return tuple(n for n in self.function_nodes() if n.supports(opcode))
+        """The FuncUnit nodes whose op set holds ``opcode``, in order."""
+        index = self._query()
+        held = index.supporting.get(opcode)
+        if held is None:
+            held = index.supporting[opcode] = tuple(
+                n for n in index.function_nodes if n.supports(opcode)
+            )
+        return held
+
+    def capable_units(
+        self, opcode: OpCode, needs_output: bool
+    ) -> tuple[MRRGNode, ...]:
+        """The units that may host an op: the candidate rule, written once.
+
+        A unit qualifies when it supports ``opcode``, has an output node
+        when ``needs_output`` (the op produces a value), and has an
+        operand port for every operand index ``0 .. arity-1``.  In
+        insertion order; memoized per ``(opcode, needs_output)``.
+        """
+        index = self._query()
+        key = (opcode, needs_output)
+        held = index.capable.get(key)
+        if held is None:
+            operands = range(opcode.arity)
+            held = index.capable[key] = tuple(
+                fu
+                for fu in self.function_nodes_supporting(opcode)
+                if not (needs_output and fu.output is None)
+                and all(o in fu.operand_ports for o in operands)
+            )
+        return held
+
+    def forward_reach(self, starts: Iterable[str]) -> set[str]:
+        """``starts`` plus every node reachable through route fan-outs.
+
+        Memoized by ``frozenset(starts)``: the set returned is the memo
+        itself, shared by every caller, and must not be mutated.
+        """
+        index = self._query()
+        key = frozenset(starts)
+        held = index.forward.get(key)
+        if held is None:
+            held = index.forward[key] = _bfs(key, index.route_fanouts)
+        return held
+
+    def backward_reach(self, starts: Iterable[str]) -> set[str]:
+        """``starts`` plus every node reaching one through route fan-ins
+        (memoized and shared as :meth:`forward_reach`)."""
+        index = self._query()
+        key = frozenset(starts)
+        held = index.backward.get(key)
+        if held is None:
+            held = index.backward[key] = _bfs(key, index.route_fanins)
+        return held
 
     def num_edges(self) -> int:
         return sum(len(v) for v in self._fanouts.values())
@@ -198,12 +323,11 @@ class MRRG:
         on the architecture it came from: an unpipelined unit or a pruned
         node breaks the symmetry it would suggest.
 
-        Memoized; :meth:`add_node`, :meth:`add_edge` and
-        :meth:`remove_node` reset the memo.  Node attributes are set while
-        the graph is built, before anyone asks.
+        Memoized in the query index, so the three mutators reset it.
         """
-        if self._rotation_period is None:
-            self._rotation_period = next(
+        index = self._query()
+        if index.rotation_period is None:
+            index.rotation_period = next(
                 (
                     shift
                     for shift in range(1, self.ii)
@@ -211,7 +335,7 @@ class MRRG:
                 ),
                 self.ii,
             )
-        return self._rotation_period
+        return index.rotation_period
 
     def _is_rotation(self, shift: int) -> bool:
         """Whether shifting every context by ``shift`` is an automorphism.

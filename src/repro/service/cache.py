@@ -10,14 +10,19 @@ single-process, single-CPU deployment this repo targets.
 
 Lookups go through an in-memory offset index, one per shard: it maps
 each fingerprint to the byte offset of its latest valid line.  A shard's
-index is built the first time the shard is read (never at construction)
-and afterwards decodes only the complete lines appended since the last
-read, so a hit decodes one line and a miss decodes none.  The shard is
-indexed afresh when it shrank, when its inode changed, or when the line
-at a stored offset no longer carries the fingerprint asked for; its file
-size and inode are all the invalidation reads, never a clock.  The
-memory cost is one offset per stored fingerprint of the shards read so
-far; no index file is written, so the on-disk format is the shards alone.
+index is built the first time a lookup may find its fingerprint there
+(never at construction) and afterwards decodes only the complete lines
+appended since the last read, so a hit decodes one line and a miss
+decodes none.  A lookup whose fingerprint has no offset first scans the
+unread complete lines as bytes: without a backslash there, every JSON
+string is literal, so when the quoted fingerprint is not among them
+either, no line there carries it and the lookup misses without decoding
+or indexing anything.  The shard is indexed afresh when it shrank, when
+its inode changed, or when the line at a stored offset no longer carries
+the fingerprint asked for; its file size and inode are all the
+invalidation reads, never a clock.  The memory cost is one offset per
+stored fingerprint of the shards indexed so far; no index file is
+written, so the on-disk format is the shards alone.
 
 Entries round-trip :mod:`repro.mapper.serialize` mapping payloads, so a
 cache hit reconstructs the *same verdict and mapping* the original solve
@@ -234,19 +239,57 @@ class MappingCache:
             raise CacheError(f"fingerprint {fingerprint!r} too short")
         return self.objects_dir / f"{fingerprint[:2]}.jsonl"
 
-    def _index(self, shard: Path, handle: BinaryIO) -> _ShardIndex:
-        """The shard's index, caught up with the open file first."""
-        status = os.fstat(handle.fileno())
+    def _valid_index(
+        self, shard: Path, status: os.stat_result
+    ) -> _ShardIndex | None:
+        """The shard's index when it still describes the open file: same
+        inode, and the file did not shrink below what was read."""
         index = self._indexes.get(shard)
         if (
             index is None
             or index.inode != status.st_ino
             or status.st_size < index.end
         ):
+            return None
+        return index
+
+    def _index(self, shard: Path, handle: BinaryIO) -> _ShardIndex:
+        """The shard's index, caught up with the open file first."""
+        status = os.fstat(handle.fileno())
+        index = self._valid_index(shard, status)
+        if index is None:
             index = self._indexes[shard] = _ShardIndex(inode=status.st_ino)
         if status.st_size > index.end:
             _read_shard(handle, index)
         return index
+
+    def _unread_miss(
+        self, shard: Path, handle: BinaryIO, fingerprint: str
+    ) -> bool:
+        """Whether the lines the index has not read cannot hold
+        ``fingerprint``, which has no stored offset either.
+
+        Reads the complete lines past the index (the whole shard when it
+        has no valid index) once, as bytes.  With no backslash there,
+        every JSON string is literal, so a line whose fingerprint is
+        ``fingerprint`` holds ``json.dumps(fingerprint)`` verbatim; when
+        that is absent too, the lookup is a miss.  Nothing is decoded and
+        the index is left as it was.
+        """
+        quoted = json.dumps(fingerprint).encode("utf-8")
+        if b"\\" in quoted:
+            return False
+        status = os.fstat(handle.fileno())
+        index = self._valid_index(shard, status)
+        if index is not None and fingerprint in index.offsets:
+            return False
+        start = 0 if index is None else index.end
+        if status.st_size <= start:
+            return False
+        handle.seek(start)
+        unread = handle.read(status.st_size - start)
+        unread = unread[: unread.rfind(b"\n") + 1]
+        return b"\\" not in unread and quoted not in unread
 
     def get(self, fingerprint: str) -> CacheEntry | None:
         """Latest entry for ``fingerprint``, or None."""
@@ -257,6 +300,8 @@ class MappingCache:
             self._indexes.pop(shard, None)
             return None
         with handle:
+            if self._unread_miss(shard, handle, fingerprint):
+                return None
             offset = self._index(shard, handle).offsets.get(fingerprint)
             entry = _entry_at(handle, offset, fingerprint)
             if offset is not None and entry is None:

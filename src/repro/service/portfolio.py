@@ -327,9 +327,7 @@ def run_portfolio(
     # cannot; its certificate travels with the result into the
     # service cache and re-checks under repro.analyze.certify.
     screen_start = time.perf_counter()
-    finding = first_bound_witness(
-        dfg, mrrg, reach=form_cache.reach_cache_for(mrrg)
-    )
+    finding = first_bound_witness(dfg, mrrg)
     if telemetry is not None:
         telemetry.emit(
             "bounds-screen",

@@ -157,6 +157,16 @@ class TestHighsSpecifics:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.wall_time < 10.0
 
+    def test_node_count_is_none_when_unreported(self):
+        """HiGHS gives no node count for an infeasibility proof: the
+        solution says so instead of claiming zero nodes."""
+        m = Model("half")
+        x, y = m.add_binary("x"), m.add_binary("y")
+        m.add(x + y == 1.5)
+        solution = solve_form(compile_model(m), backend="highs", time_limit=10.0)
+        assert solution.status is SolveStatus.INFEASIBLE
+        assert solution.nodes is None
+
     def test_unknown_backend_rejected(self):
         m = Model("t")
         m.add_binary("x")

@@ -9,8 +9,10 @@ from repro.dfg import DFGBuilder
 from repro.ilp.status import SolveStatus
 from repro.kernels.registry import kernel
 from repro.mapper import ILPMapper, ILPMapperOptions, MapStatus, find_min_ii
+from repro.mapper.ilp_mapper import build_formulation
 from repro.mapper.sweep import IISweep
 from repro.mrrg import build_mrrg_from_module, prune
+from repro.mrrg import graph as graph_module
 from repro.service.telemetry import EventBus, EventLog
 
 from .helpers import exact_verdict
@@ -93,15 +95,23 @@ def test_sweep_emits_bounds_screen_telemetry(fabric_2x2):
     assert all(e.duration is not None and e.duration >= 0 for e in events)
 
 
-def test_sweep_screen_shares_reach_cache(fabric_2x2):
+def test_sweep_screen_shares_reach_cache(fabric_2x2, monkeypatch):
+    """The screen's forward reach is memoized on the MRRG, so a later
+    formulation build on it only searches backward from operand ports."""
     sweep = IISweep(small_dfg(5), fabric_2x2)
-    attempt = sweep.screen(1)
-    assert attempt is not None and attempt.screened
-    mrrg = sweep.mrrg(1)
-    # The screen and later formulation builds share one reach cache.
-    assert sweep.form_cache.reach_cache_for(mrrg) is (
-        sweep.form_cache.reach_cache_for(mrrg)
-    )
+    assert sweep.screen(2) is None  # B003 ran and searched forward
+    mrrg = sweep.mrrg(2)
+    searched: list[frozenset[str]] = []
+    real_bfs = graph_module._bfs
+
+    def spying(starts, adjacency):
+        searched.append(frozenset(starts))
+        return real_bfs(starts, adjacency)
+
+    monkeypatch.setattr(graph_module, "_bfs", spying)
+    assert build_formulation(sweep.dfg, mrrg).infeasible_reason is None
+    assert searched
+    assert all(mrrg.node(n).operand is not None for s in searched for n in s)
 
 
 def test_ilp_mapper_standalone_screen():

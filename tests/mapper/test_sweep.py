@@ -121,11 +121,18 @@ class TestFormulationCache:
         assert cache.hits == 0
 
     def test_reach_cache_is_per_mrrg(self, fabric_2x2):
-        cache = FormulationCache()
+        """Route reach is memoized on each MRRG: one graph hands out the
+        same set for the same starts, another graph one of its own."""
         mrrg1 = prune(build_mrrg_from_module(fabric_2x2, 1))
         mrrg2 = prune(build_mrrg_from_module(fabric_2x2, 2))
-        assert cache.reach_cache_for(mrrg1) is cache.reach_cache_for(mrrg1)
-        assert cache.reach_cache_for(mrrg1) is not cache.reach_cache_for(mrrg2)
+        starts = {fu.output for fu in mrrg1.function_nodes() if fu.output}
+        assert starts and all(s in mrrg2 for s in starts)
+        reach1 = mrrg1.forward_reach(starts)
+        assert mrrg1.forward_reach(sorted(starts)) is reach1
+        reach2 = mrrg2.forward_reach(starts)
+        assert reach2 is not reach1
+        assert mrrg2.forward_reach(starts) is reach2
+        assert mrrg1.backward_reach(starts) is not mrrg2.backward_reach(starts)
 
 
 class TestIISweep:

@@ -264,13 +264,39 @@ GARBAGE = (
     b"null\n",
     b"\n",
     json.dumps({"version": 99, "fingerprint": FP_A}).encode() + b"\n",
+    b'{"note": "a\\\\b"}\n',
 )
+
+
+def escaped_line(stored: CacheEntry) -> bytes:
+    """``stored`` as another writer may encode it: a valid line whose
+    fingerprint is spelled in ``\\u`` escapes."""
+    spelled = "".join(f"\\u{ord(c):04x}" for c in stored.fingerprint)
+    line = stored.to_json().replace(
+        json.dumps(stored.fingerprint), f'"{spelled}"'
+    )
+    assert CacheEntry.from_json(line) == stored
+    return line.encode() + b"\n"
+
+
+def counting_decodes(monkeypatch) -> list[str]:
+    """Record every line :meth:`CacheEntry.from_json` is asked to decode."""
+    decoded: list[str] = []
+    original = CacheEntry.from_json
+
+    def counting(cls, line):
+        decoded.append(line)
+        return original(line)
+
+    monkeypatch.setattr(CacheEntry, "from_json", classmethod(counting))
+    return decoded
 
 
 class TestShardIndex:
     def test_index_agrees_with_full_scan(self, tmp_path):
-        """Random puts, foreign appends, garbage, torn and completed lines
-        and shrunken shards: every lookup equals the full scan."""
+        """Random puts, foreign appends (some with escaped fingerprints),
+        garbage, torn and completed lines and shrunken shards: every
+        lookup equals the full scan, misses on unread shards included."""
         rng = random.Random(20261018)
         root = tmp_path / "cache"
         cache = MappingCache(root)
@@ -286,7 +312,10 @@ class TestShardIndex:
 
         for step in range(300):
             kind = rng.choice(
-                ("put", "put", "other", "garbage", "tear", "complete", "shrink")
+                (
+                    "put", "put", "other", "escaped", "garbage", "tear",
+                    "complete", "shrink",
+                )
             )
             # Mostly known fingerprints (last writer wins), some new ones.
             fp = f"{rng.choice(prefixes)}{rng.randrange(step // 10 + 4):062x}"
@@ -294,6 +323,9 @@ class TestShardIndex:
             if kind in ("put", "other"):
                 writer = cache if kind == "put" else other
                 writer.put(entry(fp, objective=float(step)))
+                seen.add(fp)
+            elif kind == "escaped":
+                append(shard, escaped_line(entry(fp, objective=float(step))))
                 seen.add(fp)
             elif kind == "garbage":
                 append(shard, rng.choice(GARBAGE))
@@ -331,6 +363,14 @@ class TestShardIndex:
             for fingerprint in sorted(seen):
                 assert cache.get(fingerprint) == full_scan(root, fingerprint), (
                     f"step {step} ({kind}): {fingerprint}"
+                )
+            # A fresh reader has read no shard: its first lookup on each,
+            # stored or never stored, must equal the full scan too.
+            fresh = MappingCache(root)
+            for prefix in prefixes:
+                fingerprint = f"{prefix}{rng.randrange(step // 10 + 8):062x}"
+                assert fresh.get(fingerprint) == full_scan(root, fingerprint), (
+                    f"step {step} ({kind}), unread shard: {fingerprint}"
                 )
             if step % 25 == 0:
                 listed = {e.fingerprint: e for e in other.entries()}
@@ -403,14 +443,7 @@ class TestShardIndex:
         stored = [f"aa{i:062x}" for i in range(40)]
         for i, fp in enumerate(stored):
             writer.put(entry(fp, objective=float(i)))
-        decoded = []
-        original = CacheEntry.from_json
-
-        def counting(cls, line):
-            decoded.append(line)
-            return original(line)
-
-        monkeypatch.setattr(CacheEntry, "from_json", classmethod(counting))
+        decoded = counting_decodes(monkeypatch)
         cache = MappingCache(tmp_path / "cache")
         assert decoded == []  # nothing is read at construction
         assert cache.get(stored[5]).objective == 5.0
@@ -429,6 +462,71 @@ class TestShardIndex:
         decoded.clear()
         assert cache.get(stored[3]).objective == 99.0
         assert len(decoded) == 1
+
+    @staticmethod
+    def _forty(root) -> list[str]:
+        writer = MappingCache(root)
+        stored = [f"aa{i:062x}" for i in range(40)]
+        for i, fp in enumerate(stored):
+            writer.put(entry(fp, objective=float(i)))
+        return stored
+
+    def test_miss_on_an_unread_shard_decodes_nothing(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        stored = self._forty(root)
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get("aa" + "f" * 62) is None
+        assert decoded == []  # the bytes hold no backslash and not the key
+        assert cache.get(stored[5]).objective == 5.0
+        assert len(decoded) == 41  # a possible hit indexes the shard
+        MappingCache(root).put(entry("aa" + "e" * 62, objective=1.0))
+        decoded.clear()
+        assert cache.get("aa" + "f" * 62) is None
+        assert decoded == []  # nor do the lines appended since
+
+    def test_escaped_foreign_fingerprint_is_served(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        stored = self._forty(root)
+        foreign = "aa" + "e" * 62
+        indexed = MappingCache(root)
+        assert indexed.get(stored[0]).objective == 0.0
+        with open(root / "objects" / "aa.jsonl", "ab") as handle:
+            handle.write(escaped_line(entry(foreign, objective=7.0)))
+        decoded = counting_decodes(monkeypatch)
+        assert indexed.get(foreign).objective == 7.0
+        assert len(decoded) == 2  # the appended line, then the hit
+        assert MappingCache(root).get(foreign).objective == 7.0
+
+    def test_backslash_line_forces_the_catch_up(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        self._forty(root)
+        with open(root / "objects" / "aa.jsonl", "ab") as handle:
+            handle.write(b'{"note": "a\\\\b"}\n')
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get("aa" + "f" * 62) is None
+        assert len(decoded) == 41  # the shard is indexed as before
+        decoded.clear()
+        assert cache.get("aa" + "f" * 62) is None
+        assert decoded == []
+
+    def test_torn_line_with_the_key_stays_a_miss(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        self._forty(root)
+        late = "aa" + "e" * 62
+        line = entry(late, objective=3.0).to_json().encode() + b"\n"
+        assert json.dumps(late).encode() in line[:-10]
+        shard = root / "objects" / "aa.jsonl"
+        with open(shard, "ab") as handle:
+            handle.write(line[:-10])
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get(late) is None
+        assert decoded == []  # a line without its newline is not read
+        with open(shard, "ab") as handle:
+            handle.write(line[-10:])
+        assert cache.get(late).objective == 3.0
 
 
 GOLDEN_SCRIPT = """
