@@ -336,21 +336,22 @@ def routability_screen(
     reach some candidate operand-port node through the route network.
 
     Operand ports are taken *permissively* (either port of a
-    commutative op counts), so a refutation here is sound for both
-    ``strict`` and ``commutative`` operand modes.  The reachable sets
-    are :meth:`MRRG.forward_reach`'s, shared with formulation builds on
-    the same MRRG.
+    commutative op counts).  The formulation's targets (each operand on
+    its own port) are a subset, so a refutation here stays sound for
+    it.  The reachable sets are :meth:`MRRG.forward_reach`'s, shared
+    with formulation builds on the same MRRG.
     """
     if candidates is None:
         candidates = op_candidates(dfg, mrrg)
-    route_ids = {node.node_id for node in mrrg.route_nodes()}
 
     for value in dfg.values():
         producer = value.producer
+        # Every builder makes an FU's output a route node, so membership
+        # in the graph is membership among its route nodes.
         sources = {
             fu.output
             for fu in candidates[producer]
-            if fu.output is not None and fu.output in route_ids
+            if fu.output is not None and fu.output in mrrg
         }
         if not sources:
             continue  # no legal placement at all: B001's job
@@ -415,25 +416,23 @@ def saturation_screen(dfg: DFG, mrrg: MRRG) -> BoundFinding | None:
     values = dfg.values()
     n_values = len(values)
     n_sinks = sum(len(v.sinks) for v in values)
-    route_ids = {node.node_id for node in mrrg.route_nodes()}
-    output_nodes = sorted(
-        fu.output
+    # An FU's output in the graph is a route node (see B003).
+    n_outputs = sum(
+        1
         for fu in mrrg.function_nodes()
-        if fu.output is not None and fu.output in route_ids
+        if fu.output is not None and fu.output in mrrg
     )
-    port_nodes = sorted(
-        node.node_id for node in mrrg.route_nodes() if node.operand is not None
-    )
+    n_ports = sum(1 for node in mrrg.route_nodes() if node.operand is not None)
     sink_counts = {v.producer: len(v.sinks) for v in values}
 
-    if n_values > len(output_nodes):
+    if n_values > n_outputs:
         return BoundFinding(
             rule="B004",
             severity="error",
             subject=dfg.name,
             message=(
                 f"{n_values} values need distinct producer output nodes "
-                f"but the fabric has {len(output_nodes)}"
+                f"but the fabric has {n_outputs}"
             ),
             fatal=True,
             ii=mrrg.ii,
@@ -442,18 +441,18 @@ def saturation_screen(dfg: DFG, mrrg: MRRG) -> BoundFinding | None:
                 "sink_counts": sink_counts,
                 "n_values": n_values,
                 "n_sinks": n_sinks,
-                "n_output_nodes": len(output_nodes),
-                "n_port_nodes": len(port_nodes),
+                "n_output_nodes": n_outputs,
+                "n_port_nodes": n_ports,
             },
         )
-    if n_sinks > len(port_nodes):
+    if n_sinks > n_ports:
         return BoundFinding(
             rule="B004",
             severity="error",
             subject=dfg.name,
             message=(
                 f"{n_sinks} sink terminals need distinct operand-port "
-                f"nodes but the fabric has {len(port_nodes)}"
+                f"nodes but the fabric has {n_ports}"
             ),
             fatal=True,
             ii=mrrg.ii,
@@ -462,8 +461,8 @@ def saturation_screen(dfg: DFG, mrrg: MRRG) -> BoundFinding | None:
                 "sink_counts": sink_counts,
                 "n_values": n_values,
                 "n_sinks": n_sinks,
-                "n_output_nodes": len(output_nodes),
-                "n_port_nodes": len(port_nodes),
+                "n_output_nodes": n_outputs,
+                "n_port_nodes": n_ports,
             },
         )
     return None

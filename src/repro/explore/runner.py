@@ -34,8 +34,6 @@ class SweepConfig:
         architectures: architecture columns (default: all 8 of Table 2).
         time_limit: per-instance solver budget in seconds.
         rows/cols: grid size of the materialized architectures.
-        feasibility_only: solve with a unit gap — stop at the first
-            incumbent, which is what Table 2 needs.
         progress: optional callback invoked with each finished record.
     """
 
@@ -44,7 +42,6 @@ class SweepConfig:
     time_limit: float | None = 120.0
     rows: int = 4
     cols: int = 4
-    feasibility_only: bool = True
     progress: Callable[[RunRecord], None] | None = None
 
 
@@ -55,11 +52,10 @@ def build_arch_mrrg(arch: PaperArch, rows: int = 4, cols: int = 4) -> MRRG:
 
 
 def default_ilp_mapper(config: SweepConfig) -> ILPMapper:
+    # Table 2 needs feasibility only: a unit gap stops at the first
+    # incumbent.
     return ILPMapper(
-        ILPMapperOptions(
-            time_limit=config.time_limit,
-            mip_rel_gap=1.0 if config.feasibility_only else None,
-        )
+        ILPMapperOptions(time_limit=config.time_limit, mip_rel_gap=1.0)
     )
 
 

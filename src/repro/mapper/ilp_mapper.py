@@ -21,8 +21,7 @@ Implementation notes:
   forward-reachable from a candidate producer output and
   backward-reachable from a legal terminal of one of its sinks.
 * For single-sink values the sink-specific variable coincides with the
-  sink-agnostic one and is collapsed by default (pure optimization; an
-  ablation bench quantifies it).
+  sink-agnostic one, so the two share one variable.
 * ``split_sub_values=False`` reproduces the paper's Example 3 strawman
   (routing whole values instead of sub-values) — an unsound formulation
   whose wrong mappings our independent verifier catches.
@@ -50,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from collections.abc import Callable
 
 from ..analyze.bounds import first_bound_witness
 from ..analyze.model_audit import audit_form, first_witness
@@ -74,14 +72,6 @@ class ILPMapperOptions:
     Attributes:
         backend: "highs" (default) or "bnb" (the from-scratch solver).
         time_limit: per-instance solver budget in seconds.
-        objective: "route_usage" (paper eq. 10), "weighted" (per-node
-            costs via ``node_weights``) or "none" (pure feasibility).
-        node_weights: cost callback for the weighted objective (e.g.
-            penalize registers for power as the paper suggests).
-        operand_mode: "strict" pins sub-value (q, o) to operand port o;
-            "commutative" lets commutative ops swap operand ports.
-        collapse_single_sink: share R[i][j] and R[i][j][k] variables for
-            single-sink values (an exact size optimization).
         split_sub_values: route per sub-value (sound, the paper's
             formulation).  False = Example 3's unsound whole-value mode.
         mux_exclusivity: emit constraint (9).  False reproduces Example
@@ -105,37 +95,24 @@ class ILPMapperOptions:
 
     backend: str = "highs"
     time_limit: float | None = None
-    objective: str = "route_usage"
-    node_weights: Callable[[MRRGNode], float] | None = None
-    operand_mode: str = "strict"
-    collapse_single_sink: bool = True
     split_sub_values: bool = True
     mux_exclusivity: bool = True
     mip_rel_gap: float | None = None
     require_registered_feedback: bool = False
 
-    def __post_init__(self):
-        if self.objective not in ("route_usage", "weighted", "none"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.operand_mode not in ("strict", "commutative"):
-            raise ValueError(f"unknown operand_mode {self.operand_mode!r}")
-        if self.objective == "weighted" and self.node_weights is None:
-            raise ValueError("weighted objective requires node_weights")
-
     @property
     def proves_optimality(self) -> bool:
         """Whether the solve must prove an optimum (derived, read-only).
 
-        True when there is an objective, the gap stop does not accept the
-        first incumbent, and the formulation is the sound one (sub-values
-        split, constraint (9) on).  Only then does the formulation carry
-        the arrival and in-flow rows (DESIGN.md section 5.7): they are
-        valid for every integer solution and lift the LP bound, which a
-        feasibility solve never reads and pays for in row count.
+        True when the gap stop does not accept the first incumbent and
+        the formulation is the sound one (sub-values split, constraint
+        (9) on).  Only then does the formulation carry the arrival and
+        in-flow rows (DESIGN.md section 5.7): they are valid for every
+        integer solution and lift the LP bound, which a feasibility
+        solve never reads and pays for in row count.
         """
         return (
-            self.objective != "none"
-            and (self.mip_rel_gap is None or self.mip_rel_gap < 1)
+            (self.mip_rel_gap is None or self.mip_rel_gap < 1)
             and self.split_sub_values
             and self.mux_exclusivity
         )
@@ -149,10 +126,6 @@ class ILPMapperOptions:
         :class:`~repro.mapper.sweep.FormulationCache`.
         """
         return (
-            self.objective,
-            id(self.node_weights) if self.node_weights is not None else None,
-            self.operand_mode,
-            self.collapse_single_sink,
             self.split_sub_values,
             self.mux_exclusivity,
             self.require_registered_feedback,
@@ -245,27 +218,15 @@ def build_formulation(
             return empty
         candidates[op.name] = nodes
 
-    # Legal terminal ports per sub-value (DESIGN.md 5.1/5.2).
+    # Legal terminal ports per sub-value: each operand lands on its own
+    # port (DESIGN.md 5.1/5.2), mapped to the owning FU node id.
     terminal_ports: dict[tuple[str, Sink], dict[str, str]] = {}
     for producer, sinks in sinks_of.items():
         for snk in sinks:
-            op = dfg.op(snk.op)
-            # ``x op x`` keeps its ports pinned: both sub-values carry the
-            # same value, so a swap gains nothing, and a free choice would
-            # let both routes end on one port (no operand matching).
-            allow_swap = (
-                options.operand_mode == "commutative"
-                and op.opcode.is_commutative
-                and op.opcode.arity == 2
-                and len(set(op.operands)) == 2
-            )
-            ports: dict[str, str] = {}  # port node id -> owning FU node id
-            for fu in candidates[snk.op]:
-                if allow_swap:
-                    for pid in fu.operand_ports.values():
-                        ports[pid] = fu.node_id
-                else:
-                    ports[fu.operand_ports[snk.operand]] = fu.node_id
+            ports = {
+                fu.operand_ports[snk.operand]: fu.node_id
+                for fu in candidates[snk.op]
+            }
             if not ports:
                 empty.infeasible_reason = f"no legal terminal for sub-value {snk}"
                 return empty
@@ -324,9 +285,7 @@ def build_formulation(
     shared_of: dict[str, bool] = {}
     r3_keys: list[tuple[str, str, Sink]] = []
     for producer, sinks in sinks_of.items():
-        shared = (not options.split_sub_values) or (
-            len(sinks) == 1 and options.collapse_single_sink
-        )
+        shared = not options.split_sub_values or len(sinks) == 1
         shared_of[producer] = shared
         if shared:
             continue
@@ -411,7 +370,7 @@ def _emit_bound_rows(
     writer = _BlockWriter(model)
 
     # Arrival: a sub-value ends on a terminal port of the FU hosting its
-    # sink op (with (6), an equality in strict operand mode).
+    # sink op (with (6), an equality: each FU has one such port).
     for (producer, snk), ports in terminal_ports.items():
         arrive: dict[str, list[tuple[int, float]]] = {}
         for port_id, fu_id in ports.items():
@@ -718,22 +677,7 @@ def _emit_rows_blockwise(
 
     # (10) Objective: minimize routing resource usage.  R columns are
     # one contiguous block whose keys are (node id, producer) in order.
-    if options.objective == "route_usage":
-        model.set_objective_terms(
-            list(r_block.indices), [1.0] * r_block.size
-        )
-    elif options.objective == "weighted":
-        assert options.node_weights is not None
-        weight = options.node_weights
-        model.set_objective_terms(
-            list(r_block.indices),
-            [
-                float(weight(mrrg.node(node_id)))
-                for node_id, _producer in r_block.keys
-            ],
-        )
-    else:
-        model.minimize(0.0)
+    model.set_objective_terms(list(r_block.indices), [1.0] * r_block.size)
 
 
 class ILPMapper(Mapper):
@@ -889,7 +833,7 @@ class ILPMapper(Mapper):
         # contexts' mappings twins of equal cost (DESIGN.md section 5.8).
         period = mrrg.rotation_period()
         anchor = None
-        if period < mrrg.ii and opts.objective != "weighted":
+        if period < mrrg.ii:
             anchor, form = pin_anchor(dfg, mrrg, formulation, form, period)
         solution = solve_form(
             form,
@@ -939,9 +883,7 @@ class ILPMapper(Mapper):
             )
             verify_start = time.perf_counter()
             issues = verify(
-                mapping,
-                strict_operands=self.options.operand_mode == "strict"
-                and self.options.split_sub_values,
+                mapping, strict_operands=self.options.split_sub_values
             )
             self._emit(
                 "verify",

@@ -45,8 +45,9 @@ class RoutingResult:
     unrouted: list[tuple[str, Sink]]
 
 
-def route_requests(dfg: DFG, placement: dict[str, str], mrrg: MRRG,
-                   strict_operands: bool = True) -> list[RouteRequest]:
+def route_requests(
+    dfg: DFG, placement: dict[str, str], mrrg: MRRG
+) -> list[RouteRequest]:
     """Enumerate the sub-value routing problems implied by a placement."""
     requests = []
     for value in dfg.values():
@@ -68,7 +69,6 @@ def route_all(
     placement: dict[str, str],
     mrrg: MRRG,
     overuse_penalty: float = 10.0,
-    strict_operands: bool = True,
 ) -> RoutingResult:
     """Route every sub-value with congestion-penalized shortest paths.
 
@@ -81,19 +81,15 @@ def route_all(
     routes: dict[tuple[str, Sink], frozenset[str]] = {}
     unrouted: list[tuple[str, Sink]] = []
 
-    for request in route_requests(dfg, placement, mrrg, strict_operands):
+    for request in route_requests(dfg, placement, mrrg):
         source = mrrg.node(request.source_fu).output
-        ports = mrrg.node(request.target_fu).operand_ports
-        if strict_operands:
-            targets = {ports[request.target_operand]} if request.target_operand in ports else set()
-        else:
-            targets = set(ports.values())
-        if source is None or not targets:
+        port = mrrg.node(request.target_fu).operand_ports.get(request.target_operand)
+        if source is None or port is None:
             unrouted.append((request.producer, request.sink))
             routes[(request.producer, request.sink)] = frozenset()
             continue
         path = _dijkstra(
-            mrrg, source, targets, request.producer, occupants, overuse_penalty
+            mrrg, source, {port}, request.producer, occupants, overuse_penalty
         )
         if path is None:
             unrouted.append((request.producer, request.sink))

@@ -33,8 +33,6 @@ class SAMapperOptions:
         overuse_penalty: congestion penalty handed to the router.
         restarts: independent annealing runs before giving up.
         time_limit: overall wall-clock budget in seconds (None = none).
-        strict_operands: route each operand to its own port (matches the
-            ILP mapper's default semantics).
     """
 
     seed: int = 1
@@ -45,7 +43,6 @@ class SAMapperOptions:
     overuse_penalty: float = 10.0
     restarts: int = 2
     time_limit: float | None = None
-    strict_operands: bool = True
 
 
 class SAMapper(Mapper):
@@ -122,7 +119,7 @@ class SAMapper(Mapper):
                 routing_cost=mapping.routing_cost(),
             )
             verify_start = time.perf_counter()
-            issues = verify(mapping, strict_operands=opts.strict_operands)
+            issues = verify(mapping, strict_operands=True)
             self._emit(
                 "verify",
                 duration=time.perf_counter() - verify_start,
@@ -161,9 +158,7 @@ class SAMapper(Mapper):
         if placement is None:
             return None
         routing = route_all(
-            dfg, placement, mrrg,
-            overuse_penalty=opts.overuse_penalty,
-            strict_operands=opts.strict_operands,
+            dfg, placement, mrrg, overuse_penalty=opts.overuse_penalty
         )
         cost = routing.cost
         temperature = opts.initial_temperature
@@ -180,9 +175,7 @@ class SAMapper(Mapper):
                 if new_placement is None:
                     continue
                 new_routing = route_all(
-                    dfg, new_placement, mrrg,
-                    overuse_penalty=opts.overuse_penalty,
-                    strict_operands=opts.strict_operands,
+                    dfg, new_placement, mrrg, overuse_penalty=opts.overuse_penalty
                 )
                 delta = new_routing.cost - cost
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):

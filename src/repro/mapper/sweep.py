@@ -14,10 +14,10 @@
   runs, and injecting its formulation cache into every ILP mapper it
   drives.
 
-Cache keys are object identities (``id(dfg)``, ``id(mrrg)``, and
-``id(node_weights)`` inside the options'
-:meth:`~repro.mapper.ilp_mapper.ILPMapperOptions.formulation_key`);
-entries hold strong references to the keyed objects so an id can never
+Cache keys are the object identities ``id(dfg)`` and ``id(mrrg)`` plus
+the options'
+:meth:`~repro.mapper.ilp_mapper.ILPMapperOptions.formulation_key`;
+entries hold strong references to the DFG and MRRG so an id can never
 be silently reused by a garbage-collected stranger.  The cache is
 per-sweep / per-request scoped — create one where the loop starts, do
 not share it process-wide.
@@ -34,7 +34,7 @@ from ..arch.module import Module
 from ..dfg.graph import DFG
 from ..ilp.standard_form import StandardForm
 from ..mrrg.build import MRRGFactory
-from ..mrrg.graph import MRRG, MRRGNode
+from ..mrrg.graph import MRRG
 from .base import Mapper, MapResult, MapStatus
 from .ilp_mapper import Formulation, ILPMapper, ILPMapperOptions
 
@@ -45,7 +45,6 @@ class _CacheEntry:
 
     dfg: DFG
     mrrg: MRRG
-    node_weights: Callable[[MRRGNode], float] | None
     formulation: Formulation
     form: StandardForm
 
@@ -94,7 +93,6 @@ class FormulationCache:
         self._entries[self._key(dfg, mrrg, options)] = _CacheEntry(
             dfg=dfg,
             mrrg=mrrg,
-            node_weights=options.node_weights,
             formulation=formulation,
             form=form,
         )

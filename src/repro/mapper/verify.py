@@ -29,8 +29,9 @@ def verify(mapping: Mapping, strict_operands: bool = False) -> list[str]:
     Args:
         mapping: mapping to check.
         strict_operands: require sub-value (q, o) to land exactly on port
-            ``o`` (the mapper's strict mode).  When False, any consistent
-            assignment of sinks to ports is accepted for commutative ops.
+            ``o`` (the operand rule every mapper applies, DESIGN.md
+            section 5.2).  When False, any consistent assignment of sinks
+            to ports is accepted for commutative ops.
     """
     issues: list[str] = []
     dfg, mrrg = mapping.dfg, mapping.mrrg

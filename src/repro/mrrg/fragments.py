@@ -120,9 +120,9 @@ def mrrg_c() -> MRRG:
 def crossed_operand_mrrg() -> MRRG:
     """Operand ports wired so the natural order is swapped.
 
-    Value A can only reach fu.in1 and value B only fu.in0 — mapping
-    ``add(a, b)`` needs the commutative operand mode; ``sub(a, b)`` must
-    stay infeasible.
+    Value A can only reach fu.in1 and value B only fu.in0, so ``add(a, b)``
+    is infeasible: each operand must land on its own port, even of a
+    commutative op.
     """
     c = MRRGCraft("crossed")
     c.fu("srca", [OpCode.LOAD], num_ports=0)

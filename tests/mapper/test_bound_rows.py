@@ -93,27 +93,27 @@ def test_optimality_form_extends_feasibility_form():
 
 
 # Each case: kernel (Table 1 or examples/loops), fabric, grid side, II,
-# operand mode, registered feedback.  Table-1 kernels sit on the plain
-# test grid, where HiGHS finds incumbents in under a second.
+# registered feedback.  Table-1 kernels sit on the plain test grid, where
+# HiGHS finds incumbents in under a second.
 VALIDITY_CASES = [
-    ("2x2-f", "grid", 2, 2, "strict", False),
-    ("2x2-p", "grid", 3, 1, "commutative", True),
-    ("accum", "grid", 3, 1, "strict", True),
-    ("mac", "grid", 2, 2, "commutative", False),
-    ("gather2", "orthogonal", 2, 1, "commutative", False),
-    ("gather2", "diagonal", 3, 2, "strict", True),
-    ("clipacc", "diagonal", 2, 1, "commutative", True),
-    ("clipacc", "orthogonal", 3, 2, "strict", False),
-    ("dot", "orthogonal", 3, 1, "strict", True),
+    ("2x2-f", "grid", 2, 2, False),
+    ("2x2-p", "grid", 3, 1, True),
+    ("accum", "grid", 3, 1, True),
+    ("mac", "grid", 2, 2, False),
+    ("gather2", "orthogonal", 2, 1, False),
+    ("gather2", "diagonal", 3, 2, True),
+    ("clipacc", "diagonal", 2, 1, True),
+    ("clipacc", "orthogonal", 3, 2, False),
+    ("dot", "orthogonal", 3, 1, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,fabric,size,ii,mode,feedback",
+    "name,fabric,size,ii,feedback",
     VALIDITY_CASES,
     ids=["-".join(map(str, case)) for case in VALIDITY_CASES],
 )
-def test_integer_solutions_satisfy_bound_rows(name, fabric, size, ii, mode, feedback):
+def test_integer_solutions_satisfy_bound_rows(name, fabric, size, ii, feedback):
     """No integer solution of the paper's rows violates a bound row.
 
     The solutions come from the feasibility form under four objectives:
@@ -125,7 +125,6 @@ def test_integer_solutions_satisfy_bound_rows(name, fabric, size, ii, mode, feed
     feasibility, optimality = _forms(
         _dfg(name),
         _mrrg(fabric, size, ii),
-        operand_mode=mode,
         require_registered_feedback=feedback,
     )
     rows = _bound_rows(optimality)

@@ -1,9 +1,14 @@
 """Tests for the ILP formulation builder (paper section 4)."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.dfg import DFGBuilder, OpCode
-from repro.mapper import ILPMapperOptions, build_formulation
+from repro.explore import SweepConfig
+from repro.mapper import ILPMapperOptions, SAMapperOptions, build_formulation
+from repro.mapper.router import route_all, route_requests
 
 from .helpers import MRRGCraft, mrrg_c
 
@@ -49,18 +54,12 @@ class TestVariableCreation:
         f = build_formulation(add_dfg, line_mrrg())
         assert ("alu0", "x") not in f.f_vars  # ALU cannot host INPUT
 
-    def test_single_sink_collapse_reduces_variables(self, add_dfg):
-        collapsed = build_formulation(
-            add_dfg, line_mrrg(), ILPMapperOptions(collapse_single_sink=True)
-        )
-        expanded = build_formulation(
-            add_dfg, line_mrrg(), ILPMapperOptions(collapse_single_sink=False)
-        )
-        assert collapsed.stats()["r3_vars_distinct"] == 0
-        assert expanded.stats()["r3_vars_distinct"] > 0
-        assert (
-            expanded.model.stats().num_vars > collapsed.model.stats().num_vars
-        )
+    def test_single_sink_values_share_one_variable(self, add_dfg):
+        f = build_formulation(add_dfg, line_mrrg())
+        assert f.stats()["r3_vars_distinct"] == 0
+        assert f.r3_vars
+        for (node_id, producer, _snk), var in f.r3_vars.items():
+            assert var is f.r_vars[(node_id, producer)]
 
     def test_multi_fanout_values_get_sink_specific_vars(self):
         b = DFGBuilder("fan")
@@ -154,26 +153,28 @@ class TestEarlyInfeasibility:
         assert f.infeasible_reason is not None
 
     def test_objective_modes(self, add_dfg):
-        route = build_formulation(add_dfg, line_mrrg())
-        assert route.model.objective.terms  # eq. (10)
-        none = build_formulation(
-            add_dfg, line_mrrg(), ILPMapperOptions(objective="none")
-        )
-        assert not none.model.objective.terms
-        weighted = build_formulation(
-            add_dfg,
-            line_mrrg(),
-            ILPMapperOptions(
-                objective="weighted", node_weights=lambda node: 2.0
-            ),
-        )
-        coeffs = set(weighted.model.objective.terms.values())
-        assert coeffs == {2.0}
+        # Eq. (10), route usage: every R column at coefficient 1.0.
+        f = build_formulation(add_dfg, line_mrrg())
+        assert f.r_vars
+        assert f.model.objective.terms == {
+            var.index: 1.0 for var in f.r_vars.values()
+        }
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError, match="objective"):
-            ILPMapperOptions(objective="maximize_chaos")
-        with pytest.raises(ValueError, match="operand_mode"):
-            ILPMapperOptions(operand_mode="anything")
-        with pytest.raises(ValueError, match="node_weights"):
-            ILPMapperOptions(objective="weighted")
+
+def test_option_surface():
+    """The mapper options are the paper's formulation plus its two
+    ablations; re-adding a knob means editing this test."""
+    assert [field.name for field in dataclasses.fields(ILPMapperOptions)] == [
+        "backend",
+        "time_limit",
+        "split_sub_values",
+        "mux_exclusivity",
+        "mip_rel_gap",
+        "require_registered_feedback",
+    ]
+    sa_fields = {field.name for field in dataclasses.fields(SAMapperOptions)}
+    assert "strict_operands" not in sa_fields
+    sweep_fields = {field.name for field in dataclasses.fields(SweepConfig)}
+    assert "feasibility_only" not in sweep_fields
+    for router_fn in (route_all, route_requests):
+        assert "strict_operands" not in inspect.signature(router_fn).parameters

@@ -29,22 +29,12 @@ from repro.mrrg import build_mrrg_from_module, prune
 from .helpers import form_digest
 
 
-def node_weight(node) -> float:
-    """The weighted objective's cost: later contexts and operand ports
-    cost more."""
-    return 1.0 + node.context + (0.5 if node.operand is not None else 0.0)
-
-
 #: Variant name -> ILPMapperOptions overrides.
 VARIANTS = {
     "defaults": {},
     "mip_rel_gap=1.0": {"mip_rel_gap": 1.0},
-    "operand_mode=commutative": {"operand_mode": "commutative"},
     "split_sub_values=False": {"split_sub_values": False},
-    "collapse_single_sink=False": {"collapse_single_sink": False},
     "mux_exclusivity=False": {"mux_exclusivity": False},
-    "objective=none": {"objective": "none"},
-    "objective=weighted": {"objective": "weighted", "node_weights": node_weight},
     "require_registered_feedback=True": {"require_registered_feedback": True},
 }
 
@@ -169,18 +159,10 @@ DIGESTS = {
         "d3febb2ed2f190b4fa9ac096b846a9af8c8451b34dd0c0240e1d4143a8683802",
     ("fan", "grid_2x2_ii2", "mip_rel_gap=1.0"):
         "06b8d6244c3f1a3deb92031e136ffd2c2af0b781c115140c0a4b2b5d85175877",
-    ("fan", "grid_2x2_ii2", "operand_mode=commutative"):
-        "f541c720ebffc16c3fbcc4e5b9ad945d97d80d0a2be71be297cd5f292bdd1b15",
     ("fan", "grid_2x2_ii2", "split_sub_values=False"):
         "3ea86b320bb6acd862dcfe9b6db9fdd239c7d664f6e7ae32b40057fe3d529572",
-    ("fan", "grid_2x2_ii2", "collapse_single_sink=False"):
-        "c190590a19bb5652690aa352f9f94882dd9b0dffd4a57143439a0306390aa291",
     ("fan", "grid_2x2_ii2", "mux_exclusivity=False"):
         "46ce6b070943643771ade85fcc2b8b8d5b7305dd0c90b0b08fddffbacbeb299c",
-    ("fan", "grid_2x2_ii2", "objective=none"):
-        "77dfc48b2485bb49ef6592643d5a879e63b0e6654d31762a3ae5b45e04ed8afd",
-    ("fan", "grid_2x2_ii2", "objective=weighted"):
-        "7444853e5bc84584574c59f2ed535d7d482696e411dfef4cc119adbff25d99f1",
     ("accum", "homoge_diag_3x3_ii1", "require_registered_feedback=True"):
         "5b3626734dd69acae78e011d85f0d8f4546f0d69d22625743e39d37b3de14b51",
     ("mac", "homoge_diag_3x3_ii1", "require_registered_feedback=True"):

@@ -117,46 +117,21 @@ class TestOnGrid:
 
 class TestOperandModes:
     def test_strict_mode_rejects_crossed_wiring(self):
+        """Each operand lands on its own port, even of a commutative op."""
         b = DFGBuilder("c")
         a = b.load("a")
         k = b.const("k")
         b.store(b.add(a, k, name="s"), name="st")
-        result = ILPMapper(ILPMapperOptions(operand_mode="strict")).map(
-            b.build(), crossed_operand_mrrg()
-        )
-        assert result.status is MapStatus.INFEASIBLE
-
-    def test_commutative_mode_swaps_operands(self):
-        b = DFGBuilder("c")
-        a = b.load("a")
-        k = b.const("k")
-        b.store(b.add(a, k, name="s"), name="st")
-        result = ILPMapper(ILPMapperOptions(operand_mode="commutative")).map(
-            b.build(), crossed_operand_mrrg()
-        )
-        assert result.status is MapStatus.MAPPED
-        assert verify(result.mapping, strict_operands=False) == []
-
-    def test_commutative_mode_keeps_subtraction_strict(self):
-        b = DFGBuilder("c")
-        a = b.load("a")
-        k = b.const("k")
-        b.store(b.sub(a, k, name="s"), name="st")
-        result = ILPMapper(ILPMapperOptions(operand_mode="commutative")).map(
-            b.build(), crossed_operand_mrrg()
-        )
+        result = ILPMapper().map(b.build(), crossed_operand_mrrg())
         assert result.status is MapStatus.INFEASIBLE
 
     def test_x_plus_x_drives_both_ports(self, mrrg_2x2_ii1):
         b = DFGBuilder("sq")
         x = b.input("x")
         b.output(b.add(x, x, name="d"), name="o")
-        for mode in ("strict", "commutative"):
-            result = ILPMapper(ILPMapperOptions(operand_mode=mode)).map(
-                b.build(), mrrg_2x2_ii1
-            )
-            assert result.status is MapStatus.MAPPED, mode
-            assert verify(result.mapping, strict_operands=mode == "strict") == []
+        result = ILPMapper().map(b.build(), mrrg_2x2_ii1)
+        assert result.status is MapStatus.MAPPED
+        assert verify(result.mapping, strict_operands=True) == []
 
 
 class TestResultMetadata:

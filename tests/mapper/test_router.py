@@ -104,7 +104,7 @@ def test_congestion_detected_when_paths_collide():
 
 
 def test_strict_operand_targets():
-    # With strict operands the router must hit the exact port index.
+    # The router must hit the exact port index.
     c = MRRGCraft("ports")
     c.fu("src", ["load"], num_ports=0)
     c.fu("alu", ["shl"], num_ports=2)
@@ -120,7 +120,7 @@ def test_strict_operand_targets():
     b.store(b.shl(v, kk, name="s"), name="st")
     dfg = b.build()
     placement = {"l": "src", "c": "k", "s": "alu", "st": "dst"}
-    result = route_all(dfg, placement, mrrg, strict_operands=True)
+    result = route_all(dfg, placement, mrrg)
     assert result.overuse == 0 and not result.unrouted
     route = result.routes[("l", dfg.value_of("l").sinks[0])]
     assert "alu.in0" in route

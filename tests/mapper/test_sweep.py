@@ -103,23 +103,6 @@ class TestFormulationCache:
         assert len(cache) == 2
         assert cache.hits == 2
 
-    def test_weighted_objective_not_served_stale(self, tiny_dfg, fabric_2x2):
-        # Each weight callback is freed before the next one is made, so
-        # CPython hands the next closure the same id; a cache that keyed
-        # the id without holding the callback served the first build.
-        mrrg = prune(build_mrrg_from_module(fabric_2x2, 1))
-        cache = FormulationCache()
-        objectives = []
-        for w in (1, 5, 2, 3):
-            mapper = ILPMapper(
-                fast_options(objective="weighted", node_weights=lambda n: w),
-                form_cache=cache,
-            )
-            objectives.append(mapper.map(tiny_dfg, mrrg).objective)
-            del mapper
-        assert objectives == [14.0, 70.0, 28.0, 42.0]
-        assert cache.hits == 0
-
     def test_reach_cache_is_per_mrrg(self, fabric_2x2):
         """Route reach is memoized on each MRRG: one graph hands out the
         same set for the same starts, another graph one of its own."""

@@ -213,26 +213,26 @@ def _rotate(form, x: np.ndarray, shift: int, ii: int) -> np.ndarray:
 
 
 # Each case: kernel (Table 1, examples/loops or an add chain), fabric,
-# size, II, operand mode, registered feedback.
+# size, II, registered feedback.
 ROTATION_CASES = [
-    ("mac", "grid", "2x2", 2, "commutative", False),
-    ("accum", "grid", "2x2", 2, "strict", False),
-    ("2x2-f", "orthogonal", "2x2", 2, "strict", False),
-    ("chain2", "grid", "1x2", 3, "commutative", False),
-    ("gather2", "diagonal", "2x2", 3, "strict", True),
-    ("saxpy", "grid", "2x2", 2, "strict", True),
-    ("window3", "diagonal", "3x3", 2, "commutative", True),
-    ("dot", "orthogonal", "3x3", 2, "strict", False),
+    ("mac", "grid", "2x2", 2, False),
+    ("accum", "grid", "2x2", 2, False),
+    ("2x2-f", "orthogonal", "2x2", 2, False),
+    ("chain2", "grid", "1x2", 3, False),
+    ("gather2", "diagonal", "2x2", 3, True),
+    ("saxpy", "grid", "2x2", 2, True),
+    ("window3", "diagonal", "3x3", 2, True),
+    ("dot", "orthogonal", "3x3", 2, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,fabric,size,ii,mode,feedback",
+    "name,fabric,size,ii,feedback",
     ROTATION_CASES,
     ids=["-".join(map(str, case)) for case in ROTATION_CASES],
 )
 def test_rotated_solution_is_a_solution_of_equal_cost(
-    name, fabric, size, ii, mode, feedback
+    name, fabric, size, ii, feedback
 ):
     """Every shift of an integer solution satisfies every row and bound
     and keeps the route-usage objective.
@@ -247,7 +247,7 @@ def test_rotated_solution_is_a_solution_of_equal_cost(
     formulation = build_formulation(
         _dfg(name),
         mrrg,
-        ILPMapperOptions(operand_mode=mode, require_registered_feedback=feedback),
+        ILPMapperOptions(require_registered_feedback=feedback),
     )
     assert formulation.infeasible_reason is None
     form = compile_model(formulation.model)
@@ -322,19 +322,6 @@ def test_pinned_solve_keeps_verdict_and_optimum(
         assert result.status is MapStatus.MAPPED
         assert result.objective == pytest.approx(optimum)
         assert mrrg.node(result.mapping.placement[anchor]).context < period
-
-
-def test_weighted_objective_is_not_pinned():
-    """Node weights may depend on the context, so nothing is pinned."""
-    dfg, mrrg = _dfg("gather2"), _mrrg("diagonal", "2x2", 2)
-    result, solve = _map(
-        dfg, mrrg,
-        objective="weighted",
-        node_weights=lambda node: 1.0 + node.context,
-    )
-    assert result.status is MapStatus.MAPPED
-    assert solve["rotation_period"] == 1
-    assert solve["anchor"] is None
 
 
 def test_asymmetric_graph_is_not_pinned():
