@@ -210,9 +210,13 @@ class DFG:
         A produced-but-unused value has no routing obligation and therefore
         does not appear here; validation flags such dangling values.
         """
+        # Straight from the operand slots, in :meth:`edges` order, without
+        # an Edge per slot: screens and builds call this per request.
         sinks: dict[str, list[Sink]] = {}
-        for edge in self.edges():
-            sinks.setdefault(edge.src, []).append(Sink(edge.dst, edge.operand))
+        for op in self._ops.values():
+            for idx, entry in enumerate(op._operands):
+                if entry is not None:
+                    sinks.setdefault(entry[0], []).append(Sink(op.name, idx))
         return tuple(
             Value(name, tuple(sinks[name])) for name in self._ops if name in sinks
         )

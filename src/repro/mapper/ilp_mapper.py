@@ -34,11 +34,12 @@ Implementation notes:
   (:attr:`ILPMapperOptions.proves_optimality`) also gets arrival and
   in-flow rows: every integer solution satisfies them, and they lift the
   LP bound (DESIGN.md section 5.7).
-* At II >= 2 the solver gets a copy of the compiled form with one
-  anchor op's context pinned, when :meth:`~repro.mrrg.graph.MRRG.rotation_period`
-  proves that shifting contexts maps the MRRG onto itself
-  (:func:`pin_anchor`, DESIGN.md section 5.8); the cached and audited
-  form stays the paper's.
+* The solver gets a copy of the compiled form in which one anchor op
+  may only sit on one unit per orbit of the MRRG's automorphisms
+  (:func:`pin_anchor`, DESIGN.md section 5.8): the whole group of
+  :meth:`~repro.mrrg.graph.MRRG.unit_orbits` when the solve proves
+  optimality, the proven context shift alone otherwise.  The cached and
+  audited form stays the paper's.
 * The mapper pipeline compiles once and runs audit and solve on the
   compiled form; a :class:`~repro.mapper.sweep.FormulationCache` lets
   II sweeps and portfolio stages share the built+compiled formulation.
@@ -60,6 +61,7 @@ from ..ilp.solve import solve_form
 from ..ilp.standard_form import StandardForm, compile_model
 from ..ilp.status import Solution, SolveStatus
 from ..mrrg.graph import MRRG, MRRGNode
+from ..mrrg.symmetry import rotation_orbits
 from .base import Mapper, MapResult, MapStatus
 from .mapping import Mapping
 from .verify import verify
@@ -323,7 +325,7 @@ def build_formulation(
     # so turning the option on appends rows without reordering the
     # paper's, and the family only exists when the option is on.
     if options.require_registered_feedback:
-        reg_ins = _register_input_nodes(mrrg)
+        reg_ins = mrrg.register_inputs()
         for producer, sinks in sinks_of.items():
             for snk in sinks:
                 if not dfg.op(snk.op).operand_is_back_edge(snk.operand):
@@ -411,25 +413,6 @@ def _emit_bound_rows(
                 0.0,
                 f"inflow[{node_id}][{producer}][{snk}]",
             )
-
-
-def _register_input_nodes(mrrg: MRRG) -> frozenset[str]:
-    """Route nodes that latch a register: the ``in`` of an in->out pair.
-
-    Mirrors the :class:`~repro.mapper.simulate.FabricSimulator` register
-    rule — an edge from an ``in``-tagged route node to an ``out``-tagged
-    route node of the same primitive path crosses a register boundary.
-    """
-    regs: set[str] = set()
-    for node in mrrg.route_nodes():
-        if node.tag != "in":
-            continue
-        for nxt in mrrg.route_fanouts(node.node_id):
-            peer = mrrg.node(nxt)
-            if peer.is_route and peer.tag == "out" and peer.path == node.path:
-                regs.add(node.node_id)
-                break
-    return frozenset(regs)
 
 
 def _emit_rows_blockwise(
@@ -829,12 +812,19 @@ class ILPMapper(Mapper):
             )
 
         # The audited form stays the paper's; the solver gets a copy with
-        # one op's context pinned when a proven rotation makes the other
-        # contexts' mappings twins of equal cost (DESIGN.md section 5.8).
+        # one op pinned to one unit per orbit of the MRRG's automorphisms,
+        # whose images are solutions of equal cost (DESIGN.md section
+        # 5.8).  A feasibility solve stops at its first incumbent, where
+        # the spatial pin measured slower than it saved: it keeps the
+        # context shift alone.
         period = mrrg.rotation_period()
-        anchor = None
-        if period < mrrg.ii:
-            anchor, form = pin_anchor(dfg, mrrg, formulation, form, period)
+        symmetry_start = time.perf_counter()
+        orbits = (
+            mrrg.unit_orbits() if opts.proves_optimality
+            else rotation_orbits(mrrg)
+        )
+        symmetry_s = time.perf_counter() - symmetry_start
+        anchor, pinned, form = pin_anchor(dfg, formulation, form, orbits)
         solution = solve_form(
             form,
             backend=opts.backend,
@@ -850,6 +840,8 @@ class ILPMapper(Mapper):
             nodes=solution.nodes,
             rotation_period=period,
             anchor=anchor,
+            pinned=pinned,
+            symmetry_s=symmetry_s,
         )
         return self._to_result(dfg, mrrg, formulation, solution, formulation_time)
 
@@ -909,29 +901,42 @@ class ILPMapper(Mapper):
 
 def pin_anchor(
     dfg: DFG,
-    mrrg: MRRG,
     formulation: Formulation,
     form: StandardForm,
-    period: int,
-) -> tuple[str, StandardForm]:
-    """Pin one op to contexts ``[0, period)``: (anchor, pinned copy).
+    orbits: dict[str, str],
+) -> tuple[str | None, int, StandardForm]:
+    """Pin one op to one unit per orbit: (anchor, pinned columns, form).
 
-    ``period`` must be ``mrrg.rotation_period()``.  Shifting every context
-    by ``period`` maps the formulation and its route-usage objective onto
-    themselves, so some power of the shift moves any solution's anchor
-    into ``[0, period)`` at equal cost: the pinned form keeps an optimum
-    of ``form`` and every verdict (DESIGN.md section 5.8).  The anchor is
-    the op with the fewest F columns, the first in DFG op order on a tie;
-    its F columns at contexts ``>= period`` get upper bound 0 in a copy,
-    and ``form`` itself is left alone.
+    ``orbits`` maps every unit to its orbit representative under a group
+    of verified MRRG automorphisms (:meth:`~repro.mrrg.graph.MRRG.unit_orbits`
+    or :func:`~repro.mrrg.symmetry.rotation_orbits`).  Each automorphism
+    maps the formulation and its route-usage objective onto themselves,
+    so some group element moves any solution's anchor onto its orbit's
+    representative at equal cost: the pinned form keeps an optimum of
+    ``form`` and every verdict (DESIGN.md section 5.8).
+
+    The anchor is the op with the fewest representative F columns, then
+    the fewest F columns, then the first in DFG op order, among the ops
+    with a column to pin; its other F columns get upper bound 0 in a
+    copy, and ``form`` itself is left alone.  Returns ``(None, 0, form)``
+    when every column is a representative.
     """
-    columns = Counter(op_name for _fu_id, op_name in formulation.f_vars)
-    anchor = min((op.name for op in dfg.ops), key=columns.__getitem__)
+    columns: Counter[str] = Counter()
+    kept: Counter[str] = Counter()
+    for fu_id, op_name in formulation.f_vars:
+        columns[op_name] += 1
+        if orbits[fu_id] == fu_id:
+            kept[op_name] += 1
+    pinnable = [op.name for op in dfg.ops if kept[op.name] < columns[op.name]]
+    if not pinnable:
+        return None, 0, form
+    anchor = min(pinnable, key=lambda name: (kept[name], columns[name]))
     var_ub = form.var_ub.copy()
     for (fu_id, op_name), var in formulation.f_vars.items():
-        if op_name == anchor and mrrg.node(fu_id).context >= period:
+        if op_name == anchor and orbits[fu_id] != fu_id:
             var_ub[var.index] = 0.0
-    return anchor, dataclasses.replace(form, var_ub=var_ub)
+    pinned = columns[anchor] - kept[anchor]
+    return anchor, pinned, dataclasses.replace(form, var_ub=var_ub)
 
 
 def extract_mapping(

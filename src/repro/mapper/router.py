@@ -45,9 +45,7 @@ class RoutingResult:
     unrouted: list[tuple[str, Sink]]
 
 
-def route_requests(
-    dfg: DFG, placement: dict[str, str], mrrg: MRRG
-) -> list[RouteRequest]:
+def route_requests(dfg: DFG, placement: dict[str, str]) -> list[RouteRequest]:
     """Enumerate the sub-value routing problems implied by a placement."""
     requests = []
     for value in dfg.values():
@@ -81,7 +79,7 @@ def route_all(
     routes: dict[tuple[str, Sink], frozenset[str]] = {}
     unrouted: list[tuple[str, Sink]] = []
 
-    for request in route_requests(dfg, placement, mrrg):
+    for request in route_requests(dfg, placement):
         source = mrrg.node(request.source_fu).output
         port = mrrg.node(request.target_fu).operand_ports.get(request.target_operand)
         if source is None or port is None:

@@ -9,7 +9,8 @@ The graph contains a replica of the device model per context; edges whose
 endpoints live in different contexts model values crossing cycles
 (registers, multi-cycle functional units), wrapping modulo the initiation
 interval.  :meth:`MRRG.rotation_period` proves which context shifts map
-the built graph onto itself (DESIGN.md section 5.8).
+the built graph onto itself, and :meth:`MRRG.unit_orbits` groups the
+functional units under every automorphism found (DESIGN.md section 5.8).
 
 Every mapping layer reads the same few facts off the graph; :class:`MRRG`
 derives them once per graph, in a query index (DESIGN.md section 9.3).
@@ -23,6 +24,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 
 from ..dfg.opcodes import OpCode
+from . import symmetry
 
 
 class MRRGError(ValueError):
@@ -90,12 +92,14 @@ class _QueryIndex:
     """What the queries of one graph state derive, computed once.
 
     Adjacency and node tuples are built up front; the per-opcode,
-    per-start-set and rotation-period entries are memoized on first ask.
+    per-start-set, register-input, rotation-period and unit-orbit entries
+    are memoized on first ask.
     """
 
     __slots__ = (
         "function_nodes", "route_nodes", "route_fanouts", "route_fanins",
-        "supporting", "capable", "forward", "backward", "rotation_period",
+        "supporting", "capable", "forward", "backward", "register_inputs",
+        "rotation_period", "unit_orbits",
     )
 
     def __init__(
@@ -119,7 +123,9 @@ class _QueryIndex:
         self.capable: dict[tuple[OpCode, bool], tuple[MRRGNode, ...]] = {}
         self.forward: dict[frozenset[str], set[str]] = {}
         self.backward: dict[frozenset[str], set[str]] = {}
+        self.register_inputs: frozenset[str] | None = None
         self.rotation_period: int | None = None
+        self.unit_orbits: dict[str, str] | None = None
 
 
 def _bfs(
@@ -313,15 +319,37 @@ class MRRG:
             for dst in dsts:
                 yield (src, dst)
 
+    def register_inputs(self) -> frozenset[str]:
+        """Route nodes that latch a register: the ``in`` of an in->out pair.
+
+        Mirrors the :class:`~repro.mapper.simulate.FabricSimulator`
+        register rule: an edge from an ``in``-tagged route node to an
+        ``out``-tagged route node of the same primitive path crosses a
+        register boundary.  Memoized in the query index.
+        """
+        index = self._query()
+        if index.register_inputs is None:
+            nodes = self._nodes
+            index.register_inputs = frozenset(
+                node.node_id
+                for node in index.route_nodes
+                if node.tag == "in"
+                and any(
+                    nodes[m].tag == "out" and nodes[m].path == node.path
+                    for m in index.route_fanouts[node.node_id]
+                )
+            )
+        return index.register_inputs
+
     def rotation_period(self) -> int:
         """The smallest context shift that maps this graph onto itself.
 
-        Returns the smallest ``s >= 1`` dividing II for which the shift
-        ``node_id(c, path, tag) -> node_id((c + s) % II, path, tag)`` is
-        an automorphism (see :meth:`_is_rotation`), or II when no proper
-        shift is one (so 1 at II=1).  The proof runs on this graph, never
-        on the architecture it came from: an unpipelined unit or a pruned
-        node breaks the symmetry it would suggest.
+        Returns the smallest ``s >= 1`` dividing II for which
+        :meth:`context_shift` is an automorphism (see
+        :meth:`is_automorphism`), or II when no proper shift is one (so 1
+        at II=1).  The proof runs on this graph, never on the
+        architecture it came from: an unpipelined unit or a pruned node
+        breaks the symmetry it would suggest.
 
         Memoized in the query index, so the three mutators reset it.
         """
@@ -331,28 +359,52 @@ class MRRG:
                 (
                     shift
                     for shift in range(1, self.ii)
-                    if self.ii % shift == 0 and self._is_rotation(shift)
+                    if self.ii % shift == 0
+                    and self.is_automorphism(self.context_shift(shift))
                 ),
                 self.ii,
             )
         return index.rotation_period
 
-    def _is_rotation(self, shift: int) -> bool:
-        """Whether shifting every context by ``shift`` is an automorphism.
+    def context_shift(self, shift: int) -> dict[str, str]:
+        """The node map ``node_id(c, path, tag) -> node_id((c + shift) % II,
+        path, tag)``: an automorphism only where the graph proves it."""
+        ii = self.ii
+        return {
+            nid: node_id((node.context + shift) % ii, node.path, node.tag)
+            for nid, node in self._nodes.items()
+        }
 
-        Every node needs an image with the same kind, path, tag, ops and
-        operand, at context ``(c + shift) % II``; no two nodes may share
-        an image; ``fu``, ``output`` and ``operand_ports`` must map onto
-        the image's; and the image's fanouts must be exactly the images
-        of the node's fanouts.
+    def unit_orbits(self) -> dict[str, str]:
+        """Each FuncUnit node's orbit representative under the graph's
+        automorphisms.
+
+        The group is generated by the proven context shift and the maps
+        that colour refinement with individualisation finds and
+        :meth:`is_automorphism` accepts (:mod:`repro.mrrg.symmetry`).  The
+        representative is the member with the lowest context, then the
+        earliest inserted.  A budget-bounded search may miss a twin, which
+        only leaves an orbit split.  Memoized in the query index, so the
+        three mutators reset it.
+        """
+        index = self._query()
+        if index.unit_orbits is None:
+            index.unit_orbits = symmetry.search(self)[1]
+        return index.unit_orbits
+
+    def is_automorphism(self, image: dict[str, str]) -> bool:
+        """Whether the node map ``image`` maps this graph onto itself, in
+        every fact the ILP formulation reads.
+
+        Every node needs an image with the same kind, ops and operand, and
+        no two nodes may share an image; ``fu``, ``output`` and
+        ``operand_ports`` must map onto the image's; the image's fanouts
+        must be exactly the images of the node's fanouts; and a register
+        input (:meth:`register_inputs`) must map onto one.  Paths, tags
+        and contexts may differ.
         """
         nodes = self._nodes
-        ii = self.ii
-        image = {
-            nid: node_id((node.context + shift) % ii, node.path, node.tag)
-            for nid, node in nodes.items()
-        }
-        if len(set(image.values())) != len(image):
+        if len(image) != len(nodes) or len(set(image.values())) != len(image):
             return False
 
         def mapped(ref: str | None) -> str | None:
@@ -360,22 +412,21 @@ class MRRG:
             return None if ref is None else image.get(ref, "")
 
         fanouts = self._fanouts
+        registers = self.register_inputs()
         for nid, node in nodes.items():
-            twin_id = image[nid]
+            twin_id = image.get(nid, "")
             twin = nodes.get(twin_id)
             if (
                 twin is None
                 or twin.kind is not node.kind
-                or twin.context != (node.context + shift) % ii
-                or twin.path != node.path
-                or twin.tag != node.tag
                 or twin.ops != node.ops
                 or twin.operand != node.operand
                 or twin.fu != mapped(node.fu)
                 or twin.output != mapped(node.output)
                 or twin.operand_ports
                 != {i: mapped(p) for i, p in node.operand_ports.items()}
-                or set(fanouts[twin_id]) != {image[m] for m in fanouts[nid]}
+                or set(fanouts[twin_id]) != {image.get(m) for m in fanouts[nid]}
+                or (twin_id in registers) != (nid in registers)
             ):
                 return False
         return True

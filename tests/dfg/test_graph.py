@@ -1,8 +1,14 @@
 """Tests for the DFG container."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.dfg import DFG, DFGError, OpCode, Sink, merge
+from repro.frontend import compile_path
+from repro.kernels.registry import BENCHMARK_NAMES, kernel
+
+LOOPS = Path(__file__).parents[2] / "examples" / "loops"
 
 
 def build_small() -> DFG:
@@ -191,3 +197,25 @@ class TestMerge:
         assert "small.s" in merged
         assert "other.s" in merged
         assert merged.consumers("small.x") == ("small.s",)
+
+
+def _values_from_edges(dfg: DFG) -> list[tuple[str, tuple[Sink, ...]]]:
+    """Values as an edge walk builds them: one sink per edge, producers in
+    op order."""
+    sinks: dict[str, list[Sink]] = {}
+    for edge in dfg.edges():
+        sinks.setdefault(edge.src, []).append(Sink(edge.dst, edge.operand))
+    return [(name, tuple(sinks[name])) for name in dfg.op_names if name in sinks]
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(BENCHMARK_NAMES) + sorted(p.stem for p in LOOPS.glob("*.py")),
+)
+def test_values_equal_the_edge_construction(name):
+    """Values read straight off the operand slots keep the edge walk's
+    producers, sinks and order, on every Table-1 and loop kernel."""
+    path = LOOPS / f"{name}.py"
+    dfg = compile_path(path).dfg if path.exists() else kernel(name)
+    values = [(value.producer, value.sinks) for value in dfg.values()]
+    assert values == _values_from_edges(dfg)

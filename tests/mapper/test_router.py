@@ -5,7 +5,7 @@ import pytest
 from repro.dfg import DFGBuilder
 from repro.mapper.router import route_all, route_requests
 
-from .helpers import MRRGCraft, mrrg_a, mrrg_c
+from .helpers import MRRGCraft, mrrg_c
 
 
 def two_path_mrrg(short=1, long=3):
@@ -38,7 +38,7 @@ def simple_case():
 
 def test_route_requests_enumerate_subvalues(simple_case):
     placement = {"op1": "fu1", "op2": "fu2"}
-    requests = route_requests(simple_case, placement, mrrg_a())
+    requests = route_requests(simple_case, placement)
     assert len(requests) == 1
     assert requests[0].source_fu == "fu1"
     assert requests[0].target_fu == "fu2"

@@ -3,9 +3,9 @@
 Every indexed query is checked against the expression it replaced,
 written out here, order included, on the paper's eight columns, the 3x3
 homogeneous-diagonal fabric at II 1-3 and the hand-built fragments, each
-pruned and unpruned.  The mutators must drop the index, a whole mapping
-pipeline must build it once, and no caller may change a memoized reach
-set.
+pruned and unpruned.  The mutators must drop the index, unit orbits
+included; a whole mapping pipeline must build it once, and no caller may
+change a memoized reach set.
 """
 
 from collections import deque
@@ -37,6 +37,7 @@ from repro.mrrg import (
     prune,
 )
 from repro.mrrg import graph as graph_module
+from repro.mrrg import symmetry
 
 
 def _two_context_craft() -> MRRG:
@@ -124,6 +125,20 @@ def _candidate_loop(g, opcode, needs_output):
     return tuple(nodes)
 
 
+def _register_inputs(g):
+    """The register rule as build_formulation wrote it out."""
+    regs = set()
+    for node in _route_nodes(g):
+        if node.tag != "in":
+            continue
+        for nxt in _route_fanouts(g, node.node_id):
+            peer = g.node(nxt)
+            if peer.is_route and peer.tag == "out" and peer.path == node.path:
+                regs.add(node.node_id)
+                break
+    return frozenset(regs)
+
+
 def _plain_bfs(starts, neighbors):
     seen = set(starts)
     queue = deque(starts)
@@ -156,6 +171,9 @@ def _answers(g, indexed: bool) -> dict:
         "function_nodes": g.function_nodes() if indexed else _function_nodes(g),
         "route_nodes": g.route_nodes() if indexed else _route_nodes(g),
         "rotation_period": g.rotation_period(),
+        "register_inputs": (
+            g.register_inputs() if indexed else _register_inputs(g)
+        ),
     }
     for n in g.node_ids:
         answers[("fanouts", n)] = (
@@ -318,6 +336,34 @@ def test_each_query_reflects_each_mutator(mutation):
     assert changed - {"rotation_period"}, "the mutation changed no query"
     if mutation in ("add_edge", "remove_node-route"):
         assert _pinned_reach(g) != pinned_before
+
+
+# Each unit's orbit representative after each mutation.  The isolated
+# wire breaks the context shift, yet swapping the two contexts' copies
+# and fixing the wire still maps the graph onto itself: refinement ignores
+# contexts and finds it.
+_U0, _U1 = node_id(0, "u", "fu"), node_id(1, "u", "fu")
+ORBITS_AFTER = {
+    "add_node-route": {_U0: _U0, _U1: _U0},
+    "add_node-function": {
+        _U0: _U0, _U1: _U1, node_id(1, "v", "fu"): node_id(1, "v", "fu")
+    },
+    "add_edge": {_U0: _U0, _U1: _U1},
+    "remove_node-route": {_U0: _U0, _U1: _U1},
+    "remove_node-function": {_U0: _U0},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_unit_orbits_reset_after_each_mutator(mutation):
+    g = _two_context_graph()
+    before = g.unit_orbits()
+    assert before == {_U0: _U0, _U1: _U0}
+    assert g.unit_orbits() is before
+    MUTATIONS[mutation](g)
+    after = g.unit_orbits()
+    assert after is not before
+    assert after == ORBITS_AFTER[mutation] == symmetry.search(g)[1]
 
 
 # ----------------------------------------------------------------------
