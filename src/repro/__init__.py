@@ -68,7 +68,7 @@ def quick_map(
     """
     dfg_ = kernel(benchmark)
     top = paper_architecture(fb_style, interconnect, rows=rows, cols=cols)
-    mrrg_ = prune(build_mrrg_from_module(top, contexts))
+    mrrg_ = mrrg.MRRGFactory(top).mrrg(contexts)
     options = ILPMapperOptions(
         time_limit=time_limit,
         mip_rel_gap=1.0 if feasibility_only else None,

@@ -463,11 +463,12 @@ def _subform(form: StandardForm, keep: Sequence[int]) -> StandardForm:
 
 def _default_form_oracle(form: StandardForm) -> bool:
     """True when ``form`` is proven infeasible (presolve, then HiGHS)."""
-    from ..ilp.solve import solve_form
+    from ..ilp.highs_backend import solve_highs_form
+    from ..ilp.presolve import solve_form_with_presolve
     from ..ilp.status import SolveStatus
 
-    solution = solve_form(
-        form, backend="highs", mip_rel_gap=1.0, use_presolve=True
+    solution = solve_form_with_presolve(
+        form, lambda reduced: solve_highs_form(reduced, mip_rel_gap=1.0)
     )
     return solution.status is SolveStatus.INFEASIBLE
 

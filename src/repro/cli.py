@@ -40,6 +40,7 @@ import sys
 from pathlib import Path
 
 from .arch.adl import Architecture, serialize_architecture
+from .arch.module import Module
 from .arch.testsuite import PAPER_ARCHITECTURES, paper_architecture
 from .explore.figures import render_figure8
 from .explore.runner import SweepConfig, build_arch_mrrg, run_sweep
@@ -49,9 +50,8 @@ from .mapper.greedy_mapper import GreedyMapper, GreedyMapperOptions
 from .mapper.ilp_mapper import ILPMapper, ILPMapperOptions
 from .mapper.sa_mapper import SAMapper, SAMapperOptions
 from .mrrg.analysis import stats
-from .mrrg.build import build_mrrg_from_module
+from .mrrg.build import MRRGFactory
 from .mrrg.graph import MRRG
-from .mrrg.analysis import prune
 from .service.core import MapRequest, MappingService
 from .service.portfolio import PortfolioConfig, default_ladder, single_stage
 from .service.telemetry import read_events, summarize_events
@@ -102,11 +102,16 @@ def _add_arch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cols", type=_positive_int, default=4)
 
 
-def _build_mrrg(args) -> MRRG:
-    top = paper_architecture(
+def _architecture(args) -> Module:
+    """The paper architecture the ``--style``/``--interconnect``/
+    ``--rows``/``--cols`` flags name."""
+    return paper_architecture(
         args.style, args.interconnect, rows=args.rows, cols=args.cols
     )
-    return prune(build_mrrg_from_module(top, args.contexts))
+
+
+def _build_mrrg(args) -> MRRG:
+    return MRRGFactory(_architecture(args)).mrrg(args.contexts)
 
 
 def _service_portfolio(args) -> PortfolioConfig:
@@ -115,6 +120,7 @@ def _service_portfolio(args) -> PortfolioConfig:
         return PortfolioConfig(
             stages=default_ladder(exact_budget=args.time_limit),
             deadline=args.time_limit * 2,
+            mip_rel_gap=None if args.optimal else 1.0,
         )
     if args.mapper == "ilp":
         return PortfolioConfig(
@@ -187,9 +193,7 @@ def _cmd_map(args) -> int:
         dfg = loop.coalesced_dfg()
     provenance = ""
     if use_service:
-        top = paper_architecture(
-            args.style, args.interconnect, rows=args.rows, cols=args.cols
-        )
+        top = _architecture(args)
         with MappingService(
             portfolio=_service_portfolio(args),
             cache_dir=args.cache_dir,
@@ -447,13 +451,10 @@ def _cmd_frontend_map(args) -> int:
 
     loop = _compile_loop(args.source, func=args.func_name)
     print(loop.describe())
-    architecture = paper_architecture(
-        args.style, args.interconnect, rows=args.rows, cols=args.cols
-    )
     try:
         report = verify_end_to_end(
             loop,
-            architecture=architecture,
+            architecture=_architecture(args),
             max_ii=args.max_ii,
             seed=args.seed,
             time_limit=args.time_limit,
@@ -516,12 +517,9 @@ def _cmd_analyze_bounds(args) -> int:
 
     from .analyze import check_finding, compute_mii
     from .analyze.bounds import iter_findings
-    from .mrrg.build import MRRGFactory
 
     dfg, label, _ = _load_benchmark(args.benchmark)
-    top = paper_architecture(
-        args.style, args.interconnect, rows=args.rows, cols=args.cols
-    )
+    top = _architecture(args)
     mrrgs = MRRGFactory(top)
     report = compute_mii(dfg, top, mrrgs.mrrg, max_probe=args.max_ii)
     findings = list(iter_findings(report))
@@ -618,10 +616,7 @@ def _cmd_arch_info(args) -> int:
 
 
 def _cmd_export_arch(args) -> int:
-    top = paper_architecture(
-        args.style, args.interconnect, rows=args.rows, cols=args.cols
-    )
-    print(serialize_architecture(Architecture.from_top(top)), end="")
+    print(serialize_architecture(Architecture.from_top(_architecture(args))), end="")
     return 0
 
 

@@ -12,6 +12,7 @@ import dataclasses
 import os
 from collections.abc import Callable, Iterable, Sequence
 
+from ..arch.module import Module
 from ..arch.testsuite import PAPER_ARCHITECTURES, PaperArch, build_paper_arch
 from ..dfg.graph import DFG
 from ..kernels.registry import BENCHMARK_NAMES, kernel
@@ -126,9 +127,11 @@ def run_sweep(
             done[record.cell] = record
 
     records: list[RunRecord] = []
+    # One module per spatial fabric: the service shares a fabric's
+    # flatten across its context counts only while the module lives.
+    tops: dict[tuple[str, str], Module] = {}
     for arch in config.architectures:
         mrrg = None
-        top = None
         if service is None:
             if arch.key not in mrrgs:
                 mrrgs[arch.key] = build_arch_mrrg(arch, config.rows, config.cols)
@@ -143,12 +146,13 @@ def run_sweep(
             if service is not None:
                 from ..service.core import MapRequest
 
-                if top is None:
-                    top = build_paper_arch(arch, config.rows, config.cols)
+                spatial = (arch.fb_style, arch.interconnect)
+                if spatial not in tops:
+                    tops[spatial] = build_paper_arch(arch, config.rows, config.cols)
                 answer = service.map_request(
                     MapRequest(
                         dfg=dfgs[name],
-                        arch=top,
+                        arch=tops[spatial],
                         contexts=arch.contexts,
                         label=f"{name}@{arch.key}",
                     )

@@ -256,7 +256,9 @@ class LoopKernel:
         """Reload a kernel saved by :meth:`to_text`.
 
         Raises:
-            ValueError: if the text carries no ``#!`` frontend pragma.
+            ValueError: if the text carries no ``#!`` frontend pragma, or
+                one that is not what :meth:`to_text` writes (the message
+                names the bad table).
         """
         from ..dfg.parse import parse
 
@@ -272,6 +274,7 @@ class LoopKernel:
             )
         meta = json.loads("\n".join(pragmas))
         dfg = parse(text)
+        _check_pragma(meta, dfg)
         # Rebuild tables in DFG creation order: store order IS program
         # order, which oracle write-attribution depends on.
         position = {op: idx for idx, op in enumerate(dfg.op_names)}
@@ -321,3 +324,76 @@ class LoopKernel:
             },
             trip=TripSpec(*meta["trip"]),
         )
+
+
+#: The pragma tables :meth:`LoopKernel.from_text` reads, and their
+#: shapes (see :func:`_fits`).
+_PRAGMA_TABLES = (
+    ("name", str),
+    ("source", str),
+    ("params", [str]),
+    ("array_params", [str]),
+    ("scalar_params", [str]),
+    ("bound_params", {"": int}),
+    ("loads", {"": (str, int, int)}),
+    ("stores", {"": (str, int, int, bool)}),
+    ("inputs", {"": str}),
+    ("consts", {"": int}),
+    ("outputs", {"": str}),
+    ("trip", (int, int, int)),
+)
+
+
+def _fits(value: object, shape: object) -> bool:
+    """Whether a decoded JSON value has ``shape``: a type; a tuple of
+    shapes, for a list of exactly those fields; ``[s]``, for a list of
+    ``s``; ``{"": s}``, for an object whose values are all ``s``."""
+    if isinstance(shape, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(shape)
+            and all(map(_fits, value, shape))
+        )
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(
+            _fits(value[key], shape[""]) for key in value
+        )
+    return isinstance(value, shape)
+
+
+def _check_pragma(meta: object, dfg: DFG) -> None:
+    """Reject a pragma :meth:`LoopKernel.from_text` cannot load.
+
+    Raises:
+        ValueError: naming the first table that is missing, has the
+            wrong shape, or names an op the parsed DFG lacks or a
+            parameter the parameter tables lack.
+    """
+    if not isinstance(meta, dict):
+        raise ValueError("loop-kernel pragma is not a JSON object")
+    for table, shape in _PRAGMA_TABLES:
+        if table not in meta:
+            raise ValueError(f"loop-kernel pragma has no {table!r} table")
+        if not _fits(meta[table], shape):
+            raise ValueError(f"loop-kernel pragma table {table!r} is malformed")
+    loads, stores, inputs = meta["loads"], meta["stores"], meta["inputs"]
+    # (table, the names it uses, where they must appear, what they are)
+    references = [
+        (table, meta[table], dfg.op_names, "ops")
+        for table in ("loads", "stores", "inputs", "consts", "outputs")
+    ] + [
+        ("array_params", meta["array_params"], meta["params"], "parameters"),
+        ("scalar_params", meta["scalar_params"], meta["params"], "parameters"),
+        ("loads", [loads[op][0] for op in loads], meta["array_params"], "arrays"),
+        ("stores", [stores[op][0] for op in stores], meta["array_params"], "arrays"),
+        ("inputs", [inputs[op] for op in inputs], meta["scalar_params"], "scalars"),
+    ]
+    for table, names, known, kind in references:
+        unknown = sorted(set(names) - set(known))
+        if unknown:
+            raise ValueError(
+                f"loop-kernel pragma table {table!r} names unknown "
+                f"{kind}: {', '.join(unknown)}"
+            )

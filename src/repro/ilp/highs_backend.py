@@ -32,7 +32,6 @@ def solve_highs_form(
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
     node_limit: int | None = None,
-    presolve: bool = True,
 ) -> Solution:
     """Solve a compiled :class:`StandardForm` with HiGHS.
 
@@ -43,14 +42,13 @@ def solve_highs_form(
             effectively turns the solve into a feasibility check once an
             incumbent is found.
         node_limit: maximum branch-and-bound nodes.
-        presolve: enable the HiGHS presolver.
 
     Returns:
         A :class:`~repro.ilp.status.Solution`; ``TIMEOUT`` with an incumbent
         is downgraded to ``FEASIBLE`` (a usable mapping without an
         optimality proof).
     """
-    options: dict[str, object] = {"presolve": presolve}
+    options: dict[str, object] = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if mip_rel_gap is not None:
@@ -71,7 +69,7 @@ def solve_highs_form(
         bounds=bounds,
         options=options,
     )
-    if result.status == 4 and presolve:
+    if result.status == 4:
         # HiGHS's MIP presolve can stop with "Solve error" on a model it
         # should settle (e.g. the infeasible binary row 3a + 3b - 2c = 2);
         # the same model without presolve gets an exact answer.

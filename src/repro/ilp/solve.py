@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .bnb import solve_bnb_form
 from .highs_backend import solve_highs_form
-from .presolve import solve_form_with_presolve
 from .standard_form import StandardForm
 from .status import Solution
 
@@ -16,8 +15,6 @@ def solve_form(
     backend: str = "highs",
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
-    node_limit: int | None = None,
-    use_presolve: bool = False,
 ) -> Solution:
     """Solve a compiled :class:`StandardForm` with the selected backend.
 
@@ -31,28 +28,12 @@ def solve_form(
             ``"bnb"`` (the repo's own branch-and-bound).
         time_limit: wall-clock budget in seconds.
         mip_rel_gap: relative gap stop (HiGHS only; 1.0 ~= feasibility mode).
-        node_limit: branch-and-bound node budget.
-        use_presolve: run :mod:`repro.ilp.presolve` before the backend and
-            lift the solution back (HiGHS has its own presolve; the
-            IIS-lite oracle runs ours first).
 
     Raises:
         ValueError: for an unknown backend name.
     """
     if backend == "highs":
-        def run(f: StandardForm) -> Solution:
-            return solve_highs_form(
-                f,
-                time_limit=time_limit,
-                mip_rel_gap=mip_rel_gap,
-                node_limit=node_limit,
-            )
-    elif backend == "bnb":
-        def run(f: StandardForm) -> Solution:
-            return solve_bnb_form(f, time_limit=time_limit, node_limit=node_limit)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-
-    if use_presolve:
-        return solve_form_with_presolve(form, run)
-    return run(form)
+        return solve_highs_form(form, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+    if backend == "bnb":
+        return solve_bnb_form(form, time_limit=time_limit)
+    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

@@ -42,7 +42,7 @@ Implementation notes:
   audited form stays the paper's.
 * The mapper pipeline compiles once and runs audit and solve on the
   compiled form; a :class:`~repro.mapper.sweep.FormulationCache` lets
-  II sweeps and portfolio stages share the built+compiled formulation.
+  a portfolio request's stages share the built+compiled formulation.
 """
 
 from __future__ import annotations
@@ -675,9 +675,8 @@ class ILPMapper(Mapper):
             ``solve``, ``route`` and ``verify`` events.
         form_cache: optional :class:`~repro.mapper.sweep.FormulationCache`
             — when the same (DFG, MRRG, formulation options) instance is
-            mapped repeatedly (portfolio backend stages, II re-attempts),
-            the built and compiled formulation is reused instead of
-            rebuilt.
+            mapped repeatedly (portfolio backend stages and retries), the
+            built and compiled formulation is reused instead of rebuilt.
     """
 
     name = "ilp"

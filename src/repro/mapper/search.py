@@ -58,8 +58,7 @@ def find_min_ii(
 
     The loop rides the shared :class:`~repro.mapper.sweep.IISweep`
     engine: the architecture is flattened once for the whole search (not
-    once per II), ILP mappers share one formulation cache so retried
-    IIs skip rebuild and recompile, and the certified bounds prover
+    once per II), and the certified bounds prover
     (:mod:`repro.analyze.bounds`) refutes hopeless IIs before any
     solver runs — in effect the search starts at the proven MII.
 

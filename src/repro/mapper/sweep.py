@@ -1,26 +1,26 @@
-"""Incremental II-sweep engine and the shared formulation cache.
+"""Incremental II-sweep engine and the per-request formulation cache.
 
 * :class:`FormulationCache` — shares the built *and compiled*
   formulation across repeated :meth:`ILPMapper.map` calls on the same
   (DFG, MRRG, formulation options) instance.  The portfolio keeps one
-  per request, so its ``ilp-highs`` and ``ilp-bnb`` rungs build and
-  compile once (route reachability is memoized on the MRRG itself, so
-  it carries across option variants and screens);
+  per request, so its ``ilp-highs`` retry and ``ilp-bnb`` rung build
+  and compile once (route reachability is memoized on the MRRG itself,
+  so it carries across option variants and screens);
 * :class:`IISweep` — the engine behind
   :func:`repro.mapper.search.find_min_ii`: walks II = 1..max_ii for one
   (DFG, architecture) pair, flattening the architecture once (via
   :class:`~repro.mrrg.build.MRRGFactory`), memoizing the pruned MRRG per
-  II, refuting IIs with the certified bounds prover before any mapper
-  runs, and injecting its formulation cache into every ILP mapper it
-  drives.
+  II, and refuting IIs with the certified bounds prover before any
+  mapper runs.  A sweep attempts each II once, so it carries no
+  formulation cache.
 
 Cache keys are the object identities ``id(dfg)`` and ``id(mrrg)`` plus
 the options'
 :meth:`~repro.mapper.ilp_mapper.ILPMapperOptions.formulation_key`;
 entries hold strong references to the DFG and MRRG so an id can never
 be silently reused by a garbage-collected stranger.  The cache is
-per-sweep / per-request scoped — create one where the loop starts, do
-not share it process-wide.
+per-request scoped — create one where the request starts, do not
+share it process-wide.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..ilp.standard_form import StandardForm
 from ..mrrg.build import MRRGFactory
 from ..mrrg.graph import MRRG
 from .base import Mapper, MapResult, MapStatus
-from .ilp_mapper import Formulation, ILPMapper, ILPMapperOptions
+from .ilp_mapper import Formulation, ILPMapperOptions
 
 
 @dataclasses.dataclass
@@ -56,8 +56,7 @@ class FormulationCache:
     same kernel mapped onto the same MRRG object with
     formulation-equivalent options (solver backend and budgets excluded)
     yields the same model, so the portfolio's ``ilp-highs`` and
-    ``ilp-bnb`` stages, timeout retries, and repeated sweep attempts all
-    skip straight to the solver.
+    ``ilp-bnb`` stages and timeout retries skip straight to the solver.
 
     Attributes:
         hits/misses: lookup counters (exposed for telemetry and tests).
@@ -124,11 +123,7 @@ class SweepAttempt:
 class IISweep:
     """Incremental II-sweep state for one (DFG, architecture) pair.
 
-    Flattens the architecture once, memoizes the pruned MRRG per II and
-    shares one :class:`FormulationCache` across every attempt.  ILP
-    mappers produced by the caller's factory get the shared cache
-    injected (unless they already carry one), so a timeout-then-retry at
-    the same II reuses the compiled formulation.
+    Flattens the architecture once and memoizes the pruned MRRG per II.
 
     Args:
         dfg: the kernel to map.
@@ -141,7 +136,6 @@ class IISweep:
     def __init__(self, dfg: DFG, architecture: Module, telemetry=None):
         self.dfg = dfg
         self.mrrgs = MRRGFactory(architecture)
-        self.form_cache = FormulationCache()
         self.telemetry = telemetry
 
     def mrrg(self, ii: int) -> MRRG:
@@ -177,9 +171,7 @@ class IISweep:
         )
 
     def attempt(self, ii: int, mapper: Mapper) -> SweepAttempt:
-        """Map at one II, sharing the sweep's caches with the mapper."""
-        if isinstance(mapper, ILPMapper) and mapper.form_cache is None:
-            mapper.form_cache = self.form_cache
+        """Map at one II on the sweep's memoized MRRG."""
         mrrg = self.mrrg(ii)
         return SweepAttempt(ii=ii, mrrg=mrrg, result=mapper.map(self.dfg, mrrg))
 

@@ -61,34 +61,29 @@ def build_mrrg_from_module(top: Module, ii: int, name: str | None = None) -> MRR
 class MRRGFactory:
     """Builds the pruned MRRGs of one architecture across IIs, flattening once.
 
-    The flatten step is II-independent, yet every II-sweep caller used to
-    re-run it per attempt; the factory hoists it (done lazily, once) and
-    memoizes the built and pruned MRRG per II, so repeated attempts at
-    the same II (portfolio retries, shared sweeps) reuse the same graph
-    object, which in turn keys the mapper's formulation cache.
+    The flatten step is II-independent, so the factory runs it once, when
+    it is made, and keeps only the flat netlist: a later edit of the
+    module tree does not reach the factory, and the factory keeps no
+    module alive.  It memoizes the built and pruned MRRG per II, so
+    repeated requests at the same II reuse the same graph object.
+
+    Attributes:
+        flat: the flattened netlist.
+        built: II -> pruned MRRG, for every II built so far.
     """
 
     def __init__(self, top: Module):
-        self.top = top
-        self._flat: FlatNetlist | None = None
-        self._cache: dict[int, MRRG] = {}
-
-    @property
-    def flat(self) -> FlatNetlist:
-        """The flattened netlist (computed on first use)."""
-        if self._flat is None:
-            self._flat = flatten(self.top)
-        return self._flat
+        self.flat = flatten(top)
+        self.built: dict[int, MRRG] = {}
 
     def mrrg(self, ii: int) -> MRRG:
         """The pruned MRRG at ``ii`` contexts, memoized."""
-        cached = self._cache.get(ii)
-        if cached is None:
+        mrrg = self.built.get(ii)
+        if mrrg is None:
             from .analysis import prune
 
-            cached = prune(build_mrrg(self.flat, ii))
-            self._cache[ii] = cached
-        return cached
+            mrrg = self.built[ii] = prune(build_mrrg(self.flat, ii))
+        return mrrg
 
 
 def _emit_mux(

@@ -5,15 +5,17 @@ runner call per mapping job.  For every :class:`MapRequest` it
 
 1. fingerprints (architecture module tree, DFG, context count, portfolio
    config) — see :mod:`repro.service.fingerprint`; the architecture is
-   canonicalized once per edit, not once per request (an
-   :class:`~repro.service.fingerprint.ArchKey` memo per architecture
-   object, valid while no definition it reaches changes revision);
+   canonicalized once per edit, not once per request (a weak memo per
+   architecture object holds its
+   :class:`~repro.service.fingerprint.ArchKey` and
+   :class:`~repro.mrrg.build.MRRGFactory`, valid while no definition it
+   reaches changes revision);
 2. serves a cache hit when the store already holds that fingerprint,
    re-validating the stored mapping against the live MRRG (a corrupt or
    stale entry degrades to a miss, never to a crash);
-3. otherwise builds the pruned MRRG (memoized in-process per
-   architecture x context count, so sweeps pay it once per column) and
-   runs the solver portfolio;
+3. otherwise runs the solver portfolio on the pruned MRRG, which the
+   factory builds once per context count and every live architecture
+   object of the same digest shares, so sweeps pay it once per column;
 4. stores definitive verdicts (mapped, or proven infeasible) back into
    the cache;
 5. emits structured telemetry for every phase throughout.
@@ -79,6 +81,17 @@ class ServiceResult:
     degraded: bool = False
 
 
+@dataclasses.dataclass
+class _ArchMemo:
+    """Per architecture object: the revisions of the definitions it
+    reached when hashed (stale once one moves), its key, and the MRRG
+    factory it shares with every live object of its digest."""
+
+    revisions: tuple[int, ...]
+    key: ArchKey
+    factory: MRRGFactory
+
+
 class MappingService:
     """Serviceable mapping jobs over the one-shot pipeline."""
 
@@ -97,16 +110,15 @@ class MappingService:
         if telemetry_path is not None:
             self._writer = JsonlWriter(telemetry_path)
             self.bus.subscribe(self._writer)
-        # (arch fingerprint, contexts) -> pruned MRRG, shared across jobs;
-        # the per-architecture factory also hoists flatten() across
-        # context counts, so an II sweep flattens the module tree once.
-        self._mrrgs: dict[tuple[str, int], MRRG] = {}
-        self._factories: dict[str, MRRGFactory] = {}
-        # architecture -> (revisions of the definitions it reaches, key).
-        # The value holds no module, so a dropped architecture leaves.
-        self._arch_keys: weakref.WeakKeyDictionary[
-            Module, tuple[tuple[int, ...], ArchKey]
-        ] = weakref.WeakKeyDictionary()
+        # Both maps are weak: a memo lives while its architecture object
+        # does (it holds no module), and a factory while a memo holds it,
+        # so an edited or dropped architecture's graphs are freed.
+        self._archs: weakref.WeakKeyDictionary[Module, _ArchMemo] = (
+            weakref.WeakKeyDictionary()
+        )
+        self._by_digest: weakref.WeakValueDictionary[str, MRRGFactory] = (
+            weakref.WeakValueDictionary()
+        )
 
     def close(self) -> None:
         if self._writer is not None:
@@ -120,47 +132,45 @@ class MappingService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _arch_key(self, arch: Module) -> ArchKey:
-        """The architecture's canonical encoding and digest, computed
-        once per edit of the module tree rather than once per request."""
+    def _memo(self, arch: Module) -> _ArchMemo:
+        """The architecture's key and factory, made once per edit of the
+        module tree rather than once per request."""
         revisions = tuple(
             module.revision for module in arch.referenced_modules().values()
         )
-        memo = self._arch_keys.get(arch)
-        if memo is not None and memo[0] == revisions:
-            return memo[1]
-        document = canonical_module(arch)
-        key = ArchKey.of(document, fingerprint_document(document))
-        self._arch_keys[arch] = (revisions, key)
-        return key
+        memo = self._archs.get(arch)
+        if memo is None or memo.revisions != revisions:
+            document = canonical_module(arch)
+            key = ArchKey.of(document, fingerprint_document(document))
+            factory = self._by_digest.get(key.digest)
+            if factory is None:
+                factory = self._by_digest[key.digest] = MRRGFactory(arch)
+            memo = self._archs[arch] = _ArchMemo(revisions, key, factory)
+        return memo
 
     def mrrg_for(self, arch: Module, contexts: int) -> MRRG:
-        """The pruned MRRG for an architecture, memoized in-process."""
-        return self._mrrg(arch, self._arch_key(arch).digest, contexts)
+        """The pruned MRRG of an architecture at ``contexts`` contexts."""
+        return self._graph(arch, self._memo(arch), contexts)
 
-    def _mrrg(self, arch: Module, arch_fp: str, contexts: int) -> MRRG:
-        """:meth:`mrrg_for` once the architecture's hash is known."""
-        key = (arch_fp, contexts)
-        if key not in self._mrrgs:
-            factory = self._factories.get(arch_fp)
-            if factory is None:
-                factory = MRRGFactory(arch)
-                self._factories[arch_fp] = factory
+    def _graph(self, arch: Module, memo: _ArchMemo, contexts: int) -> MRRG:
+        """:meth:`mrrg_for` once the architecture's memo is known; an
+        ``mrrg-build`` event reports each graph the factory builds."""
+        mrrg = memo.factory.built.get(contexts)
+        if mrrg is None:
             with self.bus.timed(
                 "mrrg-build", arch=arch.name, contexts=contexts
             ) as extra:
-                mrrg = factory.mrrg(contexts)
+                mrrg = memo.factory.mrrg(contexts)
                 extra["nodes"] = len(mrrg)
                 extra["edges"] = mrrg.num_edges()
-            self._mrrgs[key] = mrrg
-        return self._mrrgs[key]
+        return mrrg
 
     def map_request(self, request: MapRequest) -> ServiceResult:
         """Serve one job: cache lookup, then the portfolio on a miss."""
-        # One architecture key feeds both the request hash and the MRRG memo.
-        arch_key = self._arch_key(request.arch)
+        # One memo feeds both the request hash and the MRRG.
+        memo = self._memo(request.arch)
         fingerprint = fingerprint_request(
-            arch_key,
+            memo.key,
             request.dfg,
             request.contexts,
             self.portfolio.describe(),
@@ -174,7 +184,7 @@ class MappingService:
         if self.cache is not None:
             entry = self.cache.get(fingerprint)
             if entry is not None:
-                mrrg = self._mrrg(request.arch, arch_key.digest, request.contexts)
+                mrrg = self._graph(request.arch, memo, request.contexts)
                 try:
                     result = result_from_entry(entry, request.dfg, mrrg)
                 except CacheError as exc:
@@ -199,7 +209,7 @@ class MappingService:
             else:
                 self.bus.emit("cache-miss", fingerprint=fingerprint)
 
-        mrrg = self._mrrg(request.arch, arch_key.digest, request.contexts)
+        mrrg = self._graph(request.arch, memo, request.contexts)
         outcome = run_portfolio(
             request.dfg, mrrg, self.portfolio, telemetry=self.bus
         )

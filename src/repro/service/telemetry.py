@@ -92,9 +92,9 @@ class TelemetryEvent:
 class EventBus:
     """Fan-out of telemetry events to any number of sinks.
 
-    A sink is a callable taking one :class:`TelemetryEvent`; a failing
-    sink is never allowed to break the mapping pipeline (exceptions from
-    sinks propagate — register robust sinks).
+    A sink is a callable taking one :class:`TelemetryEvent`.  An
+    exception a sink raises propagates out of :meth:`emit` into the
+    mapping pipeline, so register only sinks that do not raise.
     """
 
     def __init__(self) -> None:

@@ -210,6 +210,29 @@ def test_sweep_routes_through_service(tmp_path):
     assert len(service.log.of_kind("cache-hit")) == 1
 
 
+def test_service_sweep_flattens_each_fabric_once(monkeypatch):
+    import repro.mrrg.build as build
+    from repro.service import MappingService, PortfolioConfig, single_stage
+
+    flattened = []
+    original = build.flatten
+
+    def counting(top):
+        flattened.append(top.name)
+        return original(top)
+
+    monkeypatch.setattr(build, "flatten", counting)
+    service = MappingService(
+        portfolio=PortfolioConfig(stages=single_stage("greedy", time_limit=10))
+    )
+    config = SweepConfig(benchmarks=("mac",), architectures=TINY_ARCHS, rows=2, cols=2)
+    records = run_sweep(config, mapper_name="greedy", service=service)
+    assert [r.arch_key for r in records] == [a.key for a in TINY_ARCHS]
+    # Both context counts of the one spatial fabric share its flatten.
+    assert len(flattened) == 1
+    assert len(service.log.of_kind("mrrg-build")) == 2
+
+
 def test_compare_mappers_runs_both(tiny_mrrgs):
     config = SweepConfig(
         benchmarks=("2x2-f",),

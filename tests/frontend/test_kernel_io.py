@@ -1,5 +1,6 @@
 """Kernel text interchange and source-normalized fingerprinting."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,50 @@ def test_from_text_rejects_plain_dfg():
     kernel = compile_path(LOOPS / "dot.py")
     with pytest.raises(ValueError, match="pragma"):
         LoopKernel.from_text(serialize(kernel.dfg))
+
+
+def _with_pragma(text: str, meta) -> str:
+    """``text`` with its ``#!`` pragma replaced by ``meta``."""
+    body = [line for line in text.splitlines() if not line.startswith("#!")]
+    return "\n".join([f"#! {json.dumps(meta)}", *body]) + "\n"
+
+
+#: Pragma edits from_text must reject, and the table the error names.
+MALFORMED = {
+    "not-an-object": (lambda m: [m], "not a JSON object"),
+    "missing-table": (lambda m: {k: v for k, v in m.items() if k != "inputs"}, "'inputs'"),
+    "store-of-missing-op": (
+        lambda m: dict(m, stores=dict(m["stores"], st99=["out", 1, 0, False])),
+        "'stores'.*st99",
+    ),
+    "two-field-trip": (lambda m: dict(m, trip=m["trip"][:2]), "'trip'"),
+    "two-field-load": (
+        lambda m: dict(m, loads={op: a[:2] for op, a in m["loads"].items()}),
+        "'loads'",
+    ),
+    "list-bound": (lambda m: dict(m, bound_params={"n": [8]}), "'bound_params'"),
+    "load-of-unknown-array": (
+        lambda m: dict(m, loads=dict(m["loads"], load1=["zz", 1, 0])),
+        "'loads'.*zz",
+    ),
+    "input-of-unknown-scalar": (
+        lambda m: dict(m, inputs={"input0": "zz"}),
+        "'inputs'.*zz",
+    ),
+    "three-field-store": (
+        lambda m: dict(m, stores={op: s[:3] for op, s in m["stores"].items()}),
+        "'stores'",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_from_text_rejects_malformed_pragma(shape):
+    text = compile_path(LOOPS / "saxpy.py").to_text()
+    meta = json.loads(text.splitlines()[0][2:])
+    edit, message = MALFORMED[shape]
+    with pytest.raises(ValueError, match=message):
+        LoopKernel.from_text(_with_pragma(text, edit(meta)))
 
 
 def test_fingerprint_is_alpha_invariant():

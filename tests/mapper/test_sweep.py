@@ -141,18 +141,6 @@ class TestIISweep:
         assert attempts[0].result.status is MapStatus.INFEASIBLE
         assert attempts[1].result.status is MapStatus.MAPPED
 
-    def test_injects_shared_form_cache(self, tiny_dfg, fabric_2x2):
-        sweep = IISweep(tiny_dfg, fabric_2x2)
-        mapper = ILPMapper(fast_options())
-        assert mapper.form_cache is None
-        first = sweep.attempt(1, mapper)
-        assert mapper.form_cache is sweep.form_cache
-        assert first.result.status is MapStatus.MAPPED
-        # A retry at the same II reuses the compiled formulation.
-        retry = sweep.attempt(1, ILPMapper(fast_options()))
-        assert sweep.form_cache.hits == 1
-        assert retry.result.status is MapStatus.MAPPED
-
     def test_memoizes_mrrg_per_ii(self, tiny_dfg, fabric_2x2):
         sweep = IISweep(tiny_dfg, fabric_2x2)
         assert sweep.mrrg(1) is sweep.mrrg(1)

@@ -7,11 +7,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import weakref
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro.mrrg.build as build
 import repro.service.core as core
 from repro.analyze import RULESET_VERSION
 from repro.arch import GridSpec, Module, build_grid
@@ -175,7 +177,7 @@ def test_key_always_agrees_with_a_fresh_canonicalization(edits):
             module.add_reg(name)
             module.connect(CONNECT_SOURCES[target], f"{name}.in")
         document = canonical_module(top)
-        key = service._arch_key(top)
+        key = service._memo(top).key
         assert key.digest == fingerprint_document(document)
         assert fingerprint_request(key, dfg, 1) == fingerprint_request(top, dfg, 1)
 
@@ -208,7 +210,59 @@ def test_dropped_architecture_leaves_the_memo():
     dropped = build_grid(GridSpec(rows=2, cols=2), name="grid2x2")
     answer = service.map_request(MapRequest(_tiny(), dropped, contexts=1))
     assert answer.result.status is MapStatus.MAPPED
-    assert len(service._arch_keys) == 2
+    assert len(service._archs) == 2
     del dropped, answer
     gc.collect()
-    assert list(service._arch_keys.keys()) == [kept]
+    assert list(service._archs.keys()) == [kept]
+
+
+def test_edit_frees_the_old_revisions_graphs():
+    service = _greedy_service()
+    top = _prepared_grid()
+    answer = service.map_request(MapRequest(_tiny(), top, contexts=1))
+    old = weakref.ref(answer.result.mapping.mrrg)
+    assert old() is service.mrrg_for(top, 1)
+    del answer
+    top.add_reg("probe_reg")
+    fresh = service.map_request(MapRequest(_tiny(), top, contexts=1))
+    assert fresh.result.mapping.mrrg is service.mrrg_for(top, 1)
+    gc.collect()
+    assert old() is None
+
+
+def test_dropped_architecture_frees_its_module_factory_and_graphs():
+    service = _greedy_service()
+    top = build_grid(GridSpec(rows=2, cols=2), name="grid2x2")
+    answer = service.map_request(MapRequest(_tiny(), top, contexts=1))
+    assert answer.result.status is MapStatus.MAPPED
+    graphs = [answer.result.mapping.mrrg, service.mrrg_for(top, 2)]
+    refs = [weakref.ref(obj) for obj in (top, service._archs[top].factory, *graphs)]
+    del top, answer, graphs
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_live_objects_of_one_digest_share_one_flatten(monkeypatch):
+    flattened = []
+    original = build.flatten
+
+    def counting(top):
+        flattened.append(top.name)
+        return original(top)
+
+    monkeypatch.setattr(build, "flatten", counting)
+    service = _greedy_service()
+    first = build_grid(GridSpec(rows=2, cols=2), name="grid2x2")
+    second = build_grid(GridSpec(rows=2, cols=2), name="grid2x2")
+    mrrg = service.mrrg_for(first, 1)
+    assert service.mrrg_for(second, 1) is mrrg
+    # The shared factory keeps no module: the first object can go...
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
+    # ...while the second keeps the graphs for every object of the digest.
+    third = build_grid(GridSpec(rows=2, cols=2), name="grid2x2")
+    assert service.mrrg_for(third, 1) is service.mrrg_for(second, 1) is mrrg
+    assert flattened == ["grid2x2"]
+    assert len(service.log.of_kind("mrrg-build")) == 1

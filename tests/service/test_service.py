@@ -183,8 +183,10 @@ class TestCaching:
 class TestServicePipeline:
     def test_mrrg_is_memoized_per_architecture(self):
         service = MappingService(portfolio=_greedy_portfolio())
-        service.map_request(MapRequest(_tiny(), _arch(), contexts=1))
-        service.map_request(MapRequest(_tiny("probe"), _arch(), contexts=1))
+        # Graphs are shared while an architecture of the digest is alive.
+        first, second = _arch(), _arch()
+        service.map_request(MapRequest(_tiny(), first, contexts=1))
+        service.map_request(MapRequest(_tiny("probe"), second, contexts=1))
         assert len(service.log.of_kind("mrrg-build")) == 1
         # A different context count is a different MRRG.
         service.map_request(MapRequest(_tiny(), _arch(), contexts=2))

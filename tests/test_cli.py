@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _service_portfolio, build_parser, main
 
 
 class TestParser:
@@ -43,6 +43,13 @@ class TestParser:
         assert args.mapper == "portfolio"
         assert args.cache_dir == "/tmp/c"
         assert args.telemetry == "/tmp/t.jsonl"
+
+    @pytest.mark.parametrize("mapper", ["ilp", "portfolio"])
+    @pytest.mark.parametrize("optimal, gap", [(False, 1.0), (True, None)])
+    def test_optimal_flag_reaches_the_exact_stages(self, mapper, optimal, gap):
+        argv = ["map", "accum", "--mapper", mapper] + (["--optimal"] if optimal else [])
+        config = _service_portfolio(build_parser().parse_args(argv))
+        assert config.mip_rel_gap == gap
 
     def test_sweep_store_flag(self):
         args = build_parser().parse_args(["sweep", "--store", "runs.jsonl"])
