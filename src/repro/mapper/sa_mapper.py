@@ -17,7 +17,7 @@ import time
 from ..dfg.graph import DFG
 from ..mrrg.graph import MRRG
 from .base import Mapper, MapResult, MapStatus
-from .router import mapping_from_routing, route_all
+from .router import RouteSearch, mapping_from_routing
 from .verify import verify
 
 
@@ -80,12 +80,13 @@ class SAMapper(Mapper):
                 detail="some operation has no hosting functional unit",
             )
 
+        search = RouteSearch(mrrg)
         best_cost = math.inf
         best: tuple[dict[str, str], object] | None = None
         for restart in range(max(1, opts.restarts)):
             if self._out_of_time(start):
                 break
-            outcome = self._anneal(dfg, mrrg, candidates, rng, start)
+            outcome = self._anneal(dfg, search, candidates, rng, start)
             if outcome is None:
                 continue
             placement, routing = outcome
@@ -152,14 +153,12 @@ class SAMapper(Mapper):
         limit = self.options.time_limit
         return limit is not None and time.perf_counter() - start > limit
 
-    def _anneal(self, dfg, mrrg, candidates, rng, start):
+    def _anneal(self, dfg, search, candidates, rng, start):
         opts = self.options
         placement = _random_placement(dfg, candidates, rng)
         if placement is None:
             return None
-        routing = route_all(
-            dfg, placement, mrrg, overuse_penalty=opts.overuse_penalty
-        )
+        routing = search.route_all(dfg, placement, opts.overuse_penalty)
         cost = routing.cost
         temperature = opts.initial_temperature
         op_names = [op.name for op in dfg.ops]
@@ -174,8 +173,8 @@ class SAMapper(Mapper):
                 new_placement = _move(placement, op, candidates, rng)
                 if new_placement is None:
                     continue
-                new_routing = route_all(
-                    dfg, new_placement, mrrg, overuse_penalty=opts.overuse_penalty
+                new_routing = search.route_all(
+                    dfg, new_placement, opts.overuse_penalty
                 )
                 delta = new_routing.cost - cost
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
