@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import networkx as nx
-
 from .graph import DFG
 from .opcodes import OpCode
 
@@ -112,7 +110,7 @@ def evaluate(dfg: DFG, env: Environment | None = None, iterations: int = 1) -> E
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     env = env or Environment()
-    order = list(nx.topological_sort(dfg.to_networkx(include_back_edges=False)))
+    order = [name for generation in dfg.generations() for name in generation]
     outputs: dict[str, list[int]] = {
         op.name: [] for op in dfg.ops if op.opcode is OpCode.OUTPUT
     }

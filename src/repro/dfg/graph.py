@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .opcodes import OpCode
+
+if TYPE_CHECKING:
+    import networkx
 
 
 class DFGError(ValueError):
@@ -241,15 +243,53 @@ class DFG:
         wanted = set(opcodes)
         return tuple(op for op in self._ops.values() if op.opcode in wanted)
 
+    def generations(self) -> Iterator[list[str]]:
+        """Topological generations of the forward (non-back) edges.
+
+        A generation holds the ops whose forward producers all lie in
+        earlier ones, so an op's generation is its longest forward path
+        from a root.  The order is networkx 3.6's
+        ``topological_generations`` on :meth:`to_networkx`: roots in op
+        order, then each op's children in the order of its first forward
+        edge to them, parallel edges counted.
+
+        Raises:
+            DFGError: after the last generation, when forward edges form
+                a cycle.
+        """
+        indegree = dict.fromkeys(self._ops, 0)
+        children: dict[str, dict[str, int]] = {name: {} for name in self._ops}
+        for edge in self.edges():
+            if not edge.back:
+                indegree[edge.dst] += 1
+                fanout = children[edge.src]
+                fanout[edge.dst] = fanout.get(edge.dst, 0) + 1
+        generation = [name for name, count in indegree.items() if count == 0]
+        placed = 0
+        while generation:
+            yield generation
+            placed += len(generation)
+            following = []
+            for name in generation:
+                for child, count in children[name].items():
+                    indegree[child] -= count
+                    if indegree[child] == 0:
+                        following.append(child)
+            generation = following
+        if placed < len(self._ops):
+            raise DFGError(f"forward edges of DFG {self.name!r} form a cycle")
+
     # ------------------------------------------------------------------
     # conversions / comparisons
     # ------------------------------------------------------------------
-    def to_networkx(self, include_back_edges: bool = True) -> nx.MultiDiGraph:
+    def to_networkx(self, include_back_edges: bool = True) -> networkx.MultiDiGraph:
         """Export as a :class:`networkx.MultiDiGraph`.
 
         Node attribute ``opcode`` carries the :class:`OpCode`; edge
         attributes carry ``operand`` and ``back``.
         """
+        import networkx as nx  # here, so that importing repro does not load it
+
         graph = nx.MultiDiGraph(name=self.name)
         for op in self._ops.values():
             graph.add_node(op.name, opcode=op.opcode)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import networkx as nx
-
 from .graph import DFG
 from .opcodes import OpCode
 
@@ -53,8 +51,7 @@ def compute(dfg: DFG) -> DFGStats:
     all_edges = list(dfg.edges())
     back = sum(1 for e in all_edges if e.back)
     max_fanout = max((v.fanout for v in vals), default=0)
-    forward = dfg.to_networkx(include_back_edges=False)
-    depth = nx.dag_longest_path_length(forward) + 1 if len(forward) else 0
+    depth = sum(1 for _ in dfg.generations())
     return DFGStats(
         ios=ios,
         internal_ops=internal,

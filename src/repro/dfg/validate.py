@@ -14,8 +14,6 @@ raises on the first problem.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .graph import DFG
 
 
@@ -53,10 +51,13 @@ def check(dfg: DFG, allow_dangling: bool = False) -> list[str]:
             if op.opcode.produces_value and op.name not in consumed:
                 issues.append(f"value of {op.name!r} is never consumed")
 
-    forward = dfg.to_networkx(include_back_edges=False)
-    if not nx.is_directed_acyclic_graph(forward):
-        cycle = nx.find_cycle(forward)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
+    children: dict[str, list[str]] = {op.name: [] for op in dfg.ops}
+    for edge in dfg.edges():
+        if not edge.back:
+            children[edge.src].append(edge.dst)
+    cycle = _first_cycle(children)
+    if cycle is not None:
+        path = " -> ".join(cycle)
         issues.append(f"forward-edge cycle (missing back-edge flag?): {path}")
 
     for op in dfg.ops:
@@ -64,13 +65,53 @@ def check(dfg: DFG, allow_dangling: bool = False) -> list[str]:
             if producer is not None and op.operand_is_back_edge(idx):
                 # A back-edge must actually close a cycle; otherwise the flag
                 # needlessly weakens validation.
-                if producer not in nx.ancestors(forward, op.name) and producer != op.name:
-                    if not nx.has_path(forward, op.name, producer):
-                        issues.append(
-                            f"back-edge {producer!r} -> {op.name!r} does not "
-                            "close a forward path"
-                        )
+                if producer != op.name and not (
+                    op.name in _descendants(children, producer)
+                    or producer in _descendants(children, op.name)
+                ):
+                    issues.append(
+                        f"back-edge {producer!r} -> {op.name!r} does not "
+                        "close a forward path"
+                    )
     return issues
+
+
+def _first_cycle(children: dict[str, list[str]]) -> list[str] | None:
+    """The first cycle a depth-first search meets, as ``a -> ... -> a``
+    nodes (roots in op order, children in edge order, as networkx's
+    ``find_cycle`` walks them); None when the graph is acyclic."""
+    finished: set[str] = set()
+    for root in children:
+        if root in finished:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(children[root])]
+        while pending:
+            child = next(pending[-1], None)
+            if child is None:
+                pending.pop()
+                finished.add(path[-1])
+                on_path.discard(path.pop())
+            elif child in on_path:
+                return path[path.index(child):] + [child]
+            elif child not in finished:
+                path.append(child)
+                on_path.add(child)
+                pending.append(iter(children[child]))
+    return None
+
+
+def _descendants(children: dict[str, list[str]], start: str) -> set[str]:
+    """Every node reachable from ``start`` through ``children``."""
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        for child in children[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
 
 
 def assert_valid(dfg: DFG, allow_dangling: bool = False) -> None:
