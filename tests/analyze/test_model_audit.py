@@ -1,5 +1,7 @@
 """Model auditor: structural findings, capacity screen, IIS-lite."""
 
+import hashlib
+
 import pytest
 
 from repro.analyze import (
@@ -8,12 +10,15 @@ from repro.analyze import (
     iis_lite_form,
     screen_instance,
 )
+from repro.arch.testsuite import paper_architecture
 from repro.dfg import DFGBuilder
 from repro.ilp.expr import Sense
 from repro.ilp.model import Model
 from repro.ilp.standard_form import compile_model
+from repro.kernels.registry import kernel
 from repro.mapper.base import MapStatus
-from repro.mapper.ilp_mapper import ILPMapper, ILPMapperOptions
+from repro.mapper.ilp_mapper import ILPMapper, ILPMapperOptions, build_formulation
+from repro.mrrg import MRRGFactory
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +172,42 @@ def test_iis_lite_returns_none_on_feasible_model():
     model.add_terms([(x, 1.0)], Sense.LE, 1.0, name="row")
     model.minimize(0.0)
     assert iis_lite_form(compile_model(model)) is None
+
+
+#: (kernel, interconnect, II) on the homogeneous 2x2 fabric -> the
+#: IIS-lite core of its feasibility formulation: oracle solves, minimal
+#: flag, core size, families and the first 16 hex digits of the SHA-256
+#: of the "\n"-joined constraint names.  The oracle decides each deletion,
+#: so a change to it that moves any verdict moves the core.
+IIS_PINS = [
+    ("2x2-f", "orthogonal", 1, 8, False, 154,
+     ["initial", "placement", "route_excl"], "d5096dfe35e76875"),
+    ("2x2-f", "diagonal", 1, 8, False, 178,
+     ["initial", "placement", "route_excl"], "5568485d0f02dc0e"),
+    ("2x2-p", "orthogonal", 1, 9, False, 400,
+     ["initial", "placement", "route_excl", "usage"], "841f7980e76a32d8"),
+    ("exp_4", "orthogonal", 2, 9, False, 381,
+     ["initial", "placement", "route_excl"], "2db22d0b8ce46643"),
+]
+
+
+@pytest.mark.parametrize(
+    "bench,interconnect,ii,solves,minimal,size,families,digest", IIS_PINS
+)
+def test_iis_lite_core_on_paper_kernels(
+    bench, interconnect, ii, solves, minimal, size, families, digest
+):
+    arch = paper_architecture("homogeneous", interconnect, rows=2, cols=2)
+    formulation = build_formulation(
+        kernel(bench), MRRGFactory(arch).mrrg(ii), ILPMapperOptions(mip_rel_gap=1.0)
+    )
+    iis = iis_lite_form(compile_model(formulation.model))
+    assert iis is not None
+    names = "\n".join(iis.constraints).encode()
+    assert (iis.solves, iis.minimal, len(iis.constraints), iis.families) == (
+        solves, minimal, size, families
+    )
+    assert hashlib.sha256(names).hexdigest()[:16] == digest
 
 
 # ----------------------------------------------------------------------
