@@ -67,7 +67,6 @@ EMISSION_SUFFIXES = (
     "ilp/model.py",
     "ilp/expr.py",
     "ilp/blocks.py",
-    "ilp/presolve.py",
     "ilp/standard_form.py",
     "mapper/ilp_mapper.py",
     "mapper/sweep.py",

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -461,46 +461,33 @@ def _subform(form: StandardForm, keep: Sequence[int]) -> StandardForm:
     )
 
 
-def _default_form_oracle(form: StandardForm) -> bool:
-    """True when ``form`` is proven infeasible (presolve, then HiGHS)."""
-    from ..ilp.highs_backend import solve_highs_form
-    from ..ilp.presolve import solve_form_with_presolve
-    from ..ilp.status import SolveStatus
+#: Oracle-call budget of :func:`iis_lite_form`: the filter degrades to a
+#: coarser answer when it is spent, it never exceeds it.
+IIS_MAX_SOLVES = 64
 
-    solution = solve_form_with_presolve(
-        form, lambda reduced: solve_highs_form(reduced, mip_rel_gap=1.0)
-    )
-    return solution.status is SolveStatus.INFEASIBLE
+#: :func:`iis_lite_form` skips the per-constraint pass when more rows
+#: than this survive family filtering (keeps the worst-case cost tame).
+IIS_REFINE_LIMIT = 40
 
 
-def iis_lite_form(
-    form: StandardForm,
-    is_infeasible: Callable[[StandardForm], bool] | None = None,
-    max_solves: int = 64,
-    refine_limit: int = 40,
-) -> IISResult | None:
+def iis_lite_form(form: StandardForm) -> IISResult | None:
     """Deletion-filter an infeasible compiled form down to a core.
 
     First drops whole constraint *families* (the row labels' prefixes),
     then—if the survivor set is small—individual rows.  Each step keeps
-    a deletion only if the remainder is still infeasible, so the
-    returned subset is always jointly infeasible.
+    a deletion only if HiGHS, in feasibility mode, proves the remainder
+    infeasible, so the returned subset is always jointly infeasible.
 
     Args:
         form: the compiled form to narrow.
-        is_infeasible: feasibility oracle over forms; defaults to
-            presolve + HiGHS in feasibility mode.  Must return True iff
-            proven infeasible.
-        max_solves: oracle-call budget (the filter degrades to a coarser
-            answer when exhausted, it never exceeds the budget).
-        refine_limit: skip the per-constraint pass when more rows than
-            this survive family filtering (keeps worst-case cost tame).
 
     Returns:
         The narrowed subset, or None when the form is not infeasible to
         begin with (nothing to explain).
     """
-    oracle = is_infeasible or _default_form_oracle
+    from ..ilp.highs_backend import solve_highs_form
+    from ..ilp.status import SolveStatus
+
     num_rows = form.num_rows
     labels = [
         form.row_labels[i] if form.row_labels is not None else ""
@@ -512,7 +499,8 @@ def iis_lite_form(
         """True iff the restriction to ``keep`` is proven infeasible."""
         nonlocal solves
         solves += 1
-        return oracle(_subform(form, keep))
+        solution = solve_highs_form(_subform(form, keep), mip_rel_gap=1.0)
+        return solution.status is SolveStatus.INFEASIBLE
 
     current = list(range(num_rows))
     if not check(current):
@@ -529,7 +517,7 @@ def iis_lite_form(
         rows_of[family].append(i)
 
     for family in families:
-        if solves >= max_solves:
+        if solves >= IIS_MAX_SOLVES:
             break
         drop = set(rows_of[family])
         trial = [i for i in current if i not in drop]
@@ -538,12 +526,12 @@ def iis_lite_form(
 
     # Per-constraint refinement.
     minimal = False
-    if len(current) <= refine_limit:
+    if len(current) <= IIS_REFINE_LIMIT:
         minimal = True
         for i in list(current):
             if i not in current:
                 continue
-            if solves >= max_solves:
+            if solves >= IIS_MAX_SOLVES:
                 minimal = False
                 break
             trial = [j for j in current if j != i]

@@ -14,7 +14,7 @@ from .grid import GridSpec, build_grid, heterogeneous_ops, homogeneous_ops
 from .module import Module
 from .netlist import FlatNetlist, Net, flatten
 from .ports import THIS, ArchError, Direction, Port, PortRef
-from .primitives import FunctionalUnit, Multiplexer, Primitive, Register, make_fu
+from .primitives import FunctionalUnit, Multiplexer, Primitive, Register
 from .testsuite import (
     PAPER_ARCHITECTURES,
     PaperArch,
@@ -51,7 +51,6 @@ __all__ = [
     "homogeneous_ops",
     "io_block",
     "load",
-    "make_fu",
     "memory_port",
     "paper_architecture",
     "parse_architecture",

@@ -142,17 +142,10 @@ class Register(Primitive):
         return "Register()"
 
 
-def make_fu(ops: Iterable[OpCode | str], latency: int = 0, ii: int = 1) -> FunctionalUnit:
-    """Convenience constructor accepting opcode mnemonics."""
-    parsed = [OpCode.from_name(op) if isinstance(op, str) else op for op in ops]
-    return FunctionalUnit(parsed, latency=latency, ii=ii)
-
-
 __all__ = [
     "FunctionalUnit",
     "Multiplexer",
     "Primitive",
     "Register",
-    "make_fu",
     "valid_name",
 ]

@@ -45,6 +45,7 @@ from .arch.testsuite import PAPER_ARCHITECTURES, paper_architecture
 from .explore.figures import render_figure8
 from .explore.runner import SweepConfig, build_arch_mrrg, run_sweep
 from .explore.tables import render_table1, render_table2
+from .ilp.solve import BACKENDS
 from .kernels.registry import BENCHMARK_NAMES, kernel
 from .mapper.greedy_mapper import GreedyMapper, GreedyMapperOptions
 from .mapper.ilp_mapper import ILPMapper, ILPMapperOptions
@@ -594,7 +595,7 @@ def _cmd_analyze_model(args) -> int:
     if args.iis:
         iis = iis_lite_form(form)
         if iis is None:
-            print("IIS: model is feasible at the LP/presolve level")
+            print("IIS: model is feasible")
         else:
             minimal = "minimal" if iis.minimal else "non-minimal"
             print(f"IIS ({minimal}, {iis.solves} oracle solves): "
@@ -637,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--mapper", choices=("ilp", "sa", "greedy", "portfolio"), default="ilp"
     )
-    p_map.add_argument("--backend", choices=("highs", "bnb"), default="highs")
+    p_map.add_argument("--backend", choices=BACKENDS, default="highs")
     p_map.add_argument("--time-limit", type=_positive_float, default=120.0)
     p_map.add_argument("--optimal", action="store_true",
                        help="prove routing-cost optimality (not just feasibility)")

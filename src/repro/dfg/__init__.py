@@ -3,7 +3,7 @@
 from .build import DFGBuilder, Deferred, Ref
 from .dot import to_dot
 from .eval import MASK, Environment, EvalTrace, apply_op, evaluate
-from .graph import DFG, DFGError, Edge, Operation, Sink, Value, merge
+from .graph import DFG, DFGError, Edge, Operation, Sink, Value
 from .opcodes import (
     ALU_OPS,
     ALU_OPS_NO_MUL,
@@ -12,14 +12,7 @@ from .opcodes import (
     OpCode,
 )
 from .parse import DFGParseError, load, parse, save, serialize
-from .stats import DFGStats, compute, table_row
-from .transforms import (
-    eliminate_common_subexpressions,
-    eliminate_dead_code,
-    optimize,
-    rebalance_reductions,
-    simplify_algebraic,
-)
+from .stats import DFGStats, compute
 from .validate import DFGValidationError, assert_valid, check
 
 __all__ = [
@@ -47,17 +40,10 @@ __all__ = [
     "assert_valid",
     "check",
     "compute",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_code",
     "evaluate",
     "load",
-    "merge",
-    "optimize",
     "parse",
-    "rebalance_reductions",
     "save",
     "serialize",
-    "simplify_algebraic",
-    "table_row",
     "to_dot",
 ]

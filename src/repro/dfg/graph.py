@@ -16,7 +16,7 @@ The mapper-facing view of a DFG is in terms of *values* and *sinks*:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .opcodes import OpCode
@@ -322,22 +322,3 @@ class DFG:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DFG({self.name!r}, ops={len(self._ops)})"
-
-
-def merge(name: str, parts: Iterable[DFG], separator: str = ".") -> DFG:
-    """Merge disjoint DFGs into one, prefixing op names by the part name.
-
-    Useful for mapping several small kernels onto one fabric at once.
-    """
-    merged = DFG(name)
-    for part in parts:
-        for op in part.ops:
-            merged.add_op(f"{part.name}{separator}{op.name}", op.opcode)
-        for edge in part.edges():
-            merged.connect(
-                f"{part.name}{separator}{edge.src}",
-                f"{part.name}{separator}{edge.dst}",
-                edge.operand,
-                back=edge.back,
-            )
-    return merged

@@ -67,11 +67,6 @@ class OpCode(enum.Enum):
         return self in (OpCode.INPUT, OpCode.OUTPUT)
 
     @property
-    def is_memory(self) -> bool:
-        """Whether the op is a memory access (hosted by memory ports)."""
-        return self in (OpCode.LOAD, OpCode.STORE)
-
-    @property
     def is_internal(self) -> bool:
         """Whether Table 1 counts the op in its "Operations" column."""
         return not self.is_io

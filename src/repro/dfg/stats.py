@@ -62,9 +62,3 @@ def compute(dfg: DFG) -> DFGStats:
         max_fanout=max_fanout,
         depth=depth,
     )
-
-
-def table_row(dfg: DFG) -> tuple[str, int, int, int]:
-    """One row of Table 1: (benchmark, I/Os, Operations, # Multiplies)."""
-    stats = compute(dfg)
-    return (dfg.name, stats.ios, stats.internal_ops, stats.multiplies)

@@ -13,7 +13,6 @@ from .records import (
 from .runner import (
     SweepConfig,
     build_arch_mrrg,
-    compare_mappers,
     default_greedy_mapper,
     default_ilp_mapper,
     default_sa_mapper,
@@ -36,7 +35,6 @@ __all__ = [
     "append_record",
     "SweepConfig",
     "build_arch_mrrg",
-    "compare_mappers",
     "default_greedy_mapper",
     "default_ilp_mapper",
     "default_sa_mapper",

@@ -170,18 +170,6 @@ def run_sweep(
     return records
 
 
-def compare_mappers(
-    config: SweepConfig | None = None,
-) -> tuple[list[RunRecord], list[RunRecord]]:
-    """Run both mappers over the same grid (Fig. 8's experiment)."""
-    config = config or SweepConfig()
-    mrrgs: dict[str, MRRG] = {}
-    dfgs: dict[str, DFG] = {}
-    ilp = run_sweep(config, mapper_name="ilp", mrrgs=mrrgs, dfgs=dfgs)
-    sa = run_sweep(config, mapper_name="sa", mrrgs=mrrgs, dfgs=dfgs)
-    return ilp, sa
-
-
 def feasible_counts(records: Iterable[RunRecord]) -> dict[str, int]:
     """Architecture key -> number of feasibly mapped benchmarks."""
     counts: dict[str, int] = {}

@@ -5,9 +5,10 @@ equivalent substrate without external solvers: a modeling layer
 (:class:`Model`, :class:`LinExpr`), a blockwise emission API
 (:mod:`repro.ilp.blocks`) for compiled O(nnz) lowering, a compiler to
 matrix standard form, a HiGHS backend through
-:func:`scipy.optimize.milp`, and a from-scratch branch-and-bound solver
-for cross-checking and full inspectability.  Presolve and the backends
-take only a :class:`StandardForm`: a model is compiled once with
+:func:`scipy.optimize.milp` (HiGHS runs its own presolve, as Gurobi
+does for the paper), and a from-scratch branch-and-bound solver for
+cross-checking and full inspectability.  The backends take only a
+:class:`StandardForm`: a model is compiled once with
 :func:`compile_model` and the form is shared across audit and solve
 stages.
 """
@@ -17,7 +18,6 @@ from .bnb import solve_bnb_form
 from .expr import Constraint, LinExpr, Sense, Var, VarType, lin_sum
 from .highs_backend import solve_highs_form
 from .model import Model, ModelError, ModelStats
-from .presolve import FormPresolveResult, presolve_form, solve_form_with_presolve
 from .solve import BACKENDS, solve_form
 from .standard_form import StandardForm, compile_model
 from .status import Solution, SolveStatus
@@ -28,7 +28,6 @@ __all__ = [
     "BlockError",
     "BlockInfo",
     "Constraint",
-    "FormPresolveResult",
     "LinExpr",
     "Model",
     "ModelError",
@@ -43,9 +42,7 @@ __all__ = [
     "VarType",
     "compile_model",
     "lin_sum",
-    "presolve_form",
     "solve_bnb_form",
     "solve_form",
-    "solve_form_with_presolve",
     "solve_highs_form",
 ]

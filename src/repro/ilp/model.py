@@ -73,7 +73,6 @@ class Model:
         self.name = name
         self._vars: list[Var] = []
         self._var_names: dict[str, Var] = {}
-        self._var_blocks: list[VarBlock] = []
         # Ordered row storage: legacy segments and row blocks interleave
         # in creation order; global row order is segment order then
         # within-segment emission order.
@@ -161,7 +160,6 @@ class Model:
             block = dataclasses.replace(
                 block, keys=tuple(v.name for v in created)
             )
-        self._var_blocks.append(block)
         return block, created
 
     def var(self, name: str) -> Var:
@@ -176,10 +174,6 @@ class Model:
     @property
     def variables(self) -> tuple[Var, ...]:
         return tuple(self._vars)
-
-    @property
-    def var_blocks(self) -> tuple[VarBlock, ...]:
-        return tuple(self._var_blocks)
 
     # ------------------------------------------------------------------
     # constraints and objective

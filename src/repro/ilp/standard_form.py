@@ -18,10 +18,9 @@ un-negates the reported objective).
   the mapper's registered-feedback rows and hand-built models) keep the
   per-``LinExpr`` dict walk.
 
-The compiled form carries optional diagnostic metadata — per-row labels,
-per-variable names, and :class:`~repro.ilp.blocks.BlockInfo` spans for
-family-tagged row blocks — which ``repro.ilp.presolve`` and
-``repro.analyze.model_audit`` consume.
+The compiled form carries optional diagnostic metadata — per-row labels
+and per-variable names, which ``repro.analyze.model_audit`` reports, and
+:class:`~repro.ilp.blocks.BlockInfo` spans for family-tagged row blocks.
 """
 
 from __future__ import annotations

@@ -17,14 +17,8 @@ from .simulate import FabricSimulator, SimTrace, SimulationError, simulate_mappi
 from .sa_mapper import SAMapper, SAMapperOptions
 from .search import IISearchResult, find_min_ii
 from .sweep import FormulationCache, IISweep, SweepAttempt
-from .serialize import (
-    MappingFormatError,
-    load_mapping,
-    mapping_from_json,
-    mapping_to_json,
-    save_mapping,
-)
-from .verify import assert_legal, verify
+from .serialize import MappingFormatError, mapping_from_json, mapping_to_json
+from .verify import verify
 
 __all__ = [
     "ConfigError",
@@ -49,17 +43,14 @@ __all__ = [
     "SimTrace",
     "SweepAttempt",
     "SimulationError",
-    "assert_legal",
     "build_formulation",
     "extract_configuration",
     "extract_mapping",
     "find_min_ii",
-    "load_mapping",
     "mapping_from_json",
     "mapping_to_json",
     "simulate_mapping",
     "order_route",
     "route_all",
-    "save_mapping",
     "verify",
 ]

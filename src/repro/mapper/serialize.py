@@ -136,13 +136,3 @@ def _is_op(name: Any, dfg: DFG) -> bool:
 
 def _is_node(node_id: Any, mrrg: MRRG) -> bool:
     return isinstance(node_id, str) and node_id in mrrg
-
-
-def save_mapping(mapping: Mapping, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(mapping_to_json(mapping, indent=2) + "\n")
-
-
-def load_mapping(path: str, dfg: DFG, mrrg: MRRG) -> Mapping:
-    with open(path, encoding="utf-8") as handle:
-        return mapping_from_json(handle.read(), dfg, mrrg)

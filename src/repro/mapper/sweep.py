@@ -3,9 +3,9 @@
 * :class:`FormulationCache` — shares the built *and compiled*
   formulation across repeated :meth:`ILPMapper.map` calls on the same
   (DFG, MRRG, formulation options) instance.  The portfolio keeps one
-  per request, so its ``ilp-highs`` retry and ``ilp-bnb`` rung build
-  and compile once (route reachability is memoized on the MRRG itself,
-  so it carries across option variants and screens);
+  per request, so its ``ilp-highs`` timeout retry builds and compiles
+  once (route reachability is memoized on the MRRG itself, so it
+  carries across option variants and screens);
 * :class:`IISweep` — the engine behind
   :func:`repro.mapper.search.find_min_ii`: walks II = 1..max_ii for one
   (DFG, architecture) pair, flattening the architecture once (via
@@ -55,8 +55,8 @@ class FormulationCache:
     Keyed by ``(id(dfg), id(mrrg), options.formulation_key())`` — the
     same kernel mapped onto the same MRRG object with
     formulation-equivalent options (solver backend and budgets excluded)
-    yields the same model, so the portfolio's ``ilp-highs`` and
-    ``ilp-bnb`` stages and timeout retries skip straight to the solver.
+    yields the same model, so the portfolio's timeout retries skip
+    straight to the solver.
 
     Attributes:
         hits/misses: lookup counters (exposed for telemetry and tests).

@@ -191,10 +191,3 @@ def _has_perfect_port_matching(
         return False
 
     return all(try_assign(sink, set()) for sink in sinks)
-
-
-def assert_legal(mapping: Mapping, strict_operands: bool = False) -> None:
-    """Raise ``ValueError`` when the mapping is not legal."""
-    issues = verify(mapping, strict_operands=strict_operands)
-    if issues:
-        raise ValueError("illegal mapping: " + "; ".join(issues[:10]))

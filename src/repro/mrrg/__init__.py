@@ -1,12 +1,6 @@
 """Modulo Routing Resource Graph modeling and generation (paper sec. 3.2)."""
 
-from .analysis import (
-    MRRGStats,
-    contexts_used,
-    prune,
-    reachable_route_nodes,
-    stats,
-)
+from .analysis import MRRGStats, prune, stats
 from .build import MRRGFactory, build_mrrg, build_mrrg_from_module
 from .dot import to_dot
 from .fragments import MRRGCraft, crossed_operand_mrrg, mrrg_a, mrrg_c, mrrg_loop
@@ -26,14 +20,12 @@ __all__ = [
     "build_mrrg",
     "build_mrrg_from_module",
     "check",
-    "contexts_used",
     "crossed_operand_mrrg",
     "mrrg_a",
     "mrrg_c",
     "mrrg_loop",
     "node_id",
     "prune",
-    "reachable_route_nodes",
     "stats",
     "to_dot",
 ]

@@ -84,16 +84,3 @@ def prune(mrrg: MRRG) -> MRRG:
         or (node.node_id in forward and node.node_id in backward)
     }
     return mrrg.subgraph(keep)
-
-
-def reachable_route_nodes(mrrg: MRRG, start: str) -> set[str]:
-    """Route nodes reachable from ``start`` without crossing FuncUnits."""
-    return set(mrrg.forward_reach(mrrg.route_fanouts(start)))
-
-
-def contexts_used(mrrg: MRRG) -> dict[int, int]:
-    """Node count per context (sanity check for modulo replication)."""
-    result: dict[int, int] = {c: 0 for c in range(mrrg.ii)}
-    for node in mrrg.nodes:
-        result[node.context] += 1
-    return result

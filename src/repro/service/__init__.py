@@ -10,7 +10,7 @@ layer (the ROADMAP's production north star):
   finished verdicts (round-tripping serialized mappings) addressed by
   those fingerprints;
 * :mod:`repro.service.portfolio` — a sequential solver escalation
-  ladder (greedy -> sa -> ilp/highs -> ilp/bnb) with per-stage
+  ladder (greedy -> sa -> ilp/highs) with per-stage
   deadlines, retry-with-larger-budget and graceful degradation;
 * :mod:`repro.service.telemetry` — a lightweight event bus emitting
   per-phase JSONL events consumed by ``repro-cgra service stats``;

@@ -8,7 +8,7 @@ request.  The ladder runs strictly sequentially — the deployment target
 is a single-CPU container, where parallel stage racing would only add
 contention.
 
-Default ladder: ``greedy -> sa -> ilp(highs) -> ilp(bnb)``.
+Default ladder: ``greedy -> sa -> ilp(highs)``.
 
 Escalation policy per stage outcome:
 
@@ -32,6 +32,7 @@ from typing import Any
 from ..analyze.bounds import first_bound_witness
 from ..analyze.model_audit import first_witness
 from ..dfg.graph import DFG
+from ..ilp.solve import BACKENDS
 from ..mapper.base import Mapper, MapResult, MapStatus
 from ..mapper.greedy_mapper import GreedyMapper, GreedyMapperOptions
 from ..mapper.ilp_mapper import ILPMapper, ILPMapperOptions
@@ -48,7 +49,8 @@ class StageSpec:
 
     Attributes:
         mapper: "greedy", "sa" or "ilp".
-        backend: ILP backend ("highs" or "bnb"); ignored otherwise.
+        backend: ILP backend, one of :data:`repro.ilp.solve.BACKENDS`;
+            ignored by the heuristic stages.
         time_limit: stage budget in seconds (None = unbounded).
         retries: extra attempts after a TIMEOUT, each with the budget
             multiplied by ``budget_growth``.
@@ -68,6 +70,8 @@ class StageSpec:
     def __post_init__(self):
         if self.mapper not in _MAPPER_NAMES:
             raise ValueError(f"unknown stage mapper {self.mapper!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown ILP backend {self.backend!r}")
         if self.budget_growth < 1.0:
             raise ValueError("budget_growth must be >= 1.0")
 
@@ -89,7 +93,7 @@ def default_ladder(
     exact_budget: float = 60.0,
     exact_retries: int = 1,
 ) -> tuple[StageSpec, ...]:
-    """The standard greedy -> sa -> ilp(highs) -> ilp(bnb) ladder."""
+    """The standard greedy -> sa -> ilp(highs) ladder."""
     return (
         StageSpec(mapper="greedy", time_limit=heuristic_budget, restarts=4),
         StageSpec(mapper="sa", time_limit=2 * heuristic_budget),
@@ -99,7 +103,6 @@ def default_ladder(
             time_limit=exact_budget,
             retries=exact_retries,
         ),
-        StageSpec(mapper="ilp", backend="bnb", time_limit=exact_budget / 2),
     )
 
 
@@ -274,9 +277,9 @@ def run_portfolio(
     start = time.perf_counter()
     attempts: list[StageAttempt] = []
     best: tuple[MapResult, str] | None = None
-    # One formulation cache per request: the ilp-highs and ilp-bnb rungs
-    # (and timeout retries) emit the same model, so build+compile runs
-    # once and every later exact attempt goes straight to the solver.
+    # One formulation cache per request: every exact attempt (timeout
+    # retries, a second ILP rung) emits the same model, so build+compile
+    # runs once and every later exact attempt goes straight to the solver.
     form_cache = FormulationCache()
 
     def remaining() -> float | None:

@@ -177,8 +177,8 @@ def test_iis_lite_returns_none_on_feasible_model():
 #: (kernel, interconnect, II) on the homogeneous 2x2 fabric -> the
 #: IIS-lite core of its feasibility formulation: oracle solves, minimal
 #: flag, core size, families and the first 16 hex digits of the SHA-256
-#: of the "\n"-joined constraint names.  The oracle decides each deletion,
-#: so a change to it that moves any verdict moves the core.
+#: of the "\n"-joined constraint names.  Each kept or undone deletion is
+#: one verdict of the feasibility oracle, so the core pins those verdicts.
 IIS_PINS = [
     ("2x2-f", "orthogonal", 1, 8, False, 154,
      ["initial", "placement", "route_excl"], "d5096dfe35e76875"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch import ArchError, Direction, FunctionalUnit, Multiplexer, Register, make_fu
+from repro.arch import ArchError, Direction, FunctionalUnit, Multiplexer, Register
 from repro.dfg import IO_OPS, MEMORY_OPS, OpCode
 
 
@@ -45,11 +45,6 @@ class TestFunctionalUnit:
             FunctionalUnit([OpCode.ADD], latency=-1)
         with pytest.raises(ArchError, match="initiation interval"):
             FunctionalUnit([OpCode.ADD], ii=0)
-
-    def test_make_fu_accepts_mnemonics(self):
-        fu = make_fu(["add", "mul"], latency=2, ii=2)
-        assert fu.supports(OpCode.MUL)
-        assert fu.latency == 2 and fu.ii == 2
 
     def test_unknown_port_rejected(self):
         with pytest.raises(ArchError, match="no port"):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dfg import DFG, DFGError, OpCode, Sink, merge
+from repro.dfg import DFG, DFGError, OpCode, Sink
 from repro.frontend import compile_path
 from repro.kernels.registry import BENCHMARK_NAMES, kernel
 
@@ -186,17 +186,6 @@ class TestCopyAndEquality:
         b.connect("y", "s", 1)
         b.connect("s", "o", 0)
         assert not a.structurally_equal(b)
-
-
-class TestMerge:
-    def test_merge_prefixes_names(self):
-        a, b = build_small(), build_small()
-        b.name = "other"
-        merged = merge("both", [a, b])
-        assert len(merged) == 8
-        assert "small.s" in merged
-        assert "other.s" in merged
-        assert merged.consumers("small.x") == ("small.s",)
 
 
 def _values_from_edges(dfg: DFG) -> list[tuple[str, tuple[Sink, ...]]]:

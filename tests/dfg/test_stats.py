@@ -1,6 +1,6 @@
 """Tests for DFG statistics (Table 1 characteristics)."""
 
-from repro.dfg import DFGBuilder, compute, table_row
+from repro.dfg import DFGBuilder, compute
 from repro.kernels import add_n
 
 
@@ -41,8 +41,3 @@ def test_store_counts_as_internal():
     stats = compute(dfg)
     assert stats.ios == 4
     assert stats.internal_ops == 4  # 3 adds + 1 store
-
-
-def test_table_row_format():
-    row = table_row(add_n(10))
-    assert row == ("add_10", 10, 10, 0)

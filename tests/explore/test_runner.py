@@ -6,7 +6,6 @@ from repro.arch.testsuite import PaperArch
 from repro.explore import (
     SweepConfig,
     build_arch_mrrg,
-    compare_mappers,
     feasible_counts,
     run_sweep,
 )
@@ -85,6 +84,20 @@ def test_greedy_sweep(tiny_mrrgs):
     )
     records = run_sweep(config, mapper_name="greedy", mrrgs=tiny_mrrgs)
     assert records[0].mapper == "greedy"
+    assert records[0].status in (MapStatus.MAPPED, MapStatus.GAVE_UP)
+
+
+def test_sa_sweep(tiny_mrrgs):
+    """The SA half of ``sweep --with-sa``, on the ILP sweep's MRRGs."""
+    config = SweepConfig(
+        benchmarks=("2x2-f",),
+        architectures=TINY_ARCHS[:1],
+        time_limit=60,
+        rows=3,
+        cols=3,
+    )
+    records = run_sweep(config, mapper_name="sa", mrrgs=tiny_mrrgs)
+    assert records[0].mapper == "sa"
     assert records[0].status in (MapStatus.MAPPED, MapStatus.GAVE_UP)
 
 
@@ -231,17 +244,3 @@ def test_service_sweep_flattens_each_fabric_once(monkeypatch):
     # Both context counts of the one spatial fabric share its flatten.
     assert len(flattened) == 1
     assert len(service.log.of_kind("mrrg-build")) == 2
-
-
-def test_compare_mappers_runs_both(tiny_mrrgs):
-    config = SweepConfig(
-        benchmarks=("2x2-f",),
-        architectures=TINY_ARCHS[:1],
-        time_limit=60,
-        rows=3,
-        cols=3,
-    )
-    ilp, sa = compare_mappers(config)
-    assert ilp[0].mapper == "ilp"
-    assert sa[0].mapper == "sa"
-    assert len(ilp) == len(sa) == 1

@@ -17,7 +17,6 @@ from repro.ilp import (
     compile_model,
     lin_sum,
     solve_bnb_form,
-    solve_form_with_presolve,
     solve_highs_form,
 )
 
@@ -59,18 +58,6 @@ def test_backends_agree(model):
         assert abs(highs.objective - bnb.objective) < 1e-6
         assert model.check_assignment(bnb.values) == []
         assert model.check_assignment(highs.values) == []
-
-
-@given(random_binary_programs())
-@settings(max_examples=25, deadline=None)
-def test_presolve_preserves_verdict(model):
-    form = compile_model(model)
-    direct = solve_highs_form(form)
-    lifted = solve_form_with_presolve(form, solve_highs_form)
-    assert direct.status == lifted.status
-    if direct.status is SolveStatus.OPTIMAL:
-        assert abs(direct.objective - lifted.objective) < 1e-6
-        assert model.check_assignment(lifted.values) == []
 
 
 @given(random_binary_programs())

@@ -116,6 +116,7 @@ class TestSimulation:
         diffs = {b - a for a, b in zip(seq[2:], seq[3:])}
         assert diffs == {3}
 
+    @pytest.mark.slow
     def test_accum_kernel_reaches_interpreter_values(self, mrrg_4x4_ii1):
         dfg = accum()
         env = Environment(inputs={f"x{i}": i + 1 for i in range(8)})

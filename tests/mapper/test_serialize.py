@@ -3,13 +3,7 @@
 import pytest
 
 from repro.mapper import ILPMapper, ILPMapperOptions, verify
-from repro.mapper.serialize import (
-    MappingFormatError,
-    load_mapping,
-    mapping_from_json,
-    mapping_to_json,
-    save_mapping,
-)
+from repro.mapper.serialize import MappingFormatError, mapping_from_json, mapping_to_json
 
 
 @pytest.fixture
@@ -27,13 +21,6 @@ def test_round_trip(mapped, tiny_dfg, mrrg_2x2_ii1):
     assert again.placement == mapped.placement
     assert again.routes == mapped.routes
     assert verify(again, strict_operands=True) == []
-
-
-def test_round_trip_via_files(mapped, tiny_dfg, mrrg_2x2_ii1, tmp_path):
-    path = tmp_path / "mapping.json"
-    save_mapping(mapped, str(path))
-    again = load_mapping(str(path), tiny_dfg, mrrg_2x2_ii1)
-    assert again.routing_cost() == mapped.routing_cost()
 
 
 def test_wrong_dfg_rejected(mapped, fanout_dfg, mrrg_2x2_ii1):

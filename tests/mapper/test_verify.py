@@ -10,7 +10,6 @@ import pytest
 
 from repro.dfg import DFGBuilder, Sink
 from repro.mapper import ILPMapper, verify
-from repro.mapper.verify import assert_legal
 
 from .helpers import mrrg_a, mrrg_c
 
@@ -39,7 +38,6 @@ def fanout_mapping():
 def test_good_mappings_verify_clean(good_mapping, fanout_mapping):
     assert verify(good_mapping, strict_operands=True) == []
     assert verify(fanout_mapping, strict_operands=True) == []
-    assert_legal(good_mapping)
 
 
 def test_missing_placement_reported(good_mapping):
@@ -122,12 +120,6 @@ def test_route_exclusivity_violation_reported(fanout_mapping):
     broken = dataclasses.replace(fanout_mapping, routes=routes)
     issues = verify(broken)
     assert any("multiple values" in issue for issue in issues)
-
-
-def test_assert_legal_raises(good_mapping):
-    broken = dataclasses.replace(good_mapping, routes={})
-    with pytest.raises(ValueError, match="illegal mapping"):
-        assert_legal(broken)
 
 
 def test_strict_operand_check(fanout_mapping):

@@ -1,18 +1,15 @@
 """Tests for MRRG analysis helpers."""
 
+from collections import Counter
+
 from repro.dfg import OpCode
-from repro.mrrg import (
-    contexts_used,
-    node_id,
-    reachable_route_nodes,
-    stats,
-)
+from repro.mrrg import node_id, stats
 
 
 def test_reachable_route_nodes_stops_at_functions(mrrg_2x2_ii1):
     g = mrrg_2x2_ii1
     alu = g.node(node_id(0, "fb_0_0/alu", "fu"))
-    reach = reachable_route_nodes(g, alu.output)
+    reach = g.forward_reach(g.route_fanouts(alu.output))
     assert alu.output not in reach or g.fanouts(alu.output)
     # Reachability never includes FUNCTION nodes.
     assert all(g.node(n).is_route for n in reach)
@@ -23,7 +20,7 @@ def test_reachable_route_nodes_stops_at_functions(mrrg_2x2_ii1):
 def test_reachable_covers_neighbours(mrrg_2x2_ii1):
     g = mrrg_2x2_ii1
     alu = g.node(node_id(0, "fb_0_0/alu", "fu"))
-    reach = reachable_route_nodes(g, alu.output)
+    reach = g.forward_reach(g.route_fanouts(alu.output))
     # A neighbouring block's operand mux input is reachable.
     assert any("fb_0_1/mux_a" in n for n in reach)
 
@@ -37,7 +34,7 @@ def test_stats_histogram_counts_slots(mrrg_2x2_ii2):
 
 
 def test_contexts_used_partition(mrrg_2x2_ii2):
-    usage = contexts_used(mrrg_2x2_ii2)
+    usage = Counter(node.context for node in mrrg_2x2_ii2.nodes)
     assert set(usage) == {0, 1}
     assert sum(usage.values()) == len(mrrg_2x2_ii2)
 

@@ -1,5 +1,7 @@
 """MRRG generation for full grids (Fig. 3's composed block and beyond)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch import GridSpec, build_grid, flatten, functional_block, paper_architecture
@@ -9,7 +11,6 @@ from repro.mrrg import (
     assert_valid,
     build_mrrg,
     build_mrrg_from_module,
-    contexts_used,
     node_id,
     prune,
     stats,
@@ -70,7 +71,7 @@ class TestGridMRRG:
     def test_contexts_evenly_populated(self):
         top = build_grid(GridSpec(rows=2, cols=2), name="g")
         g = build_mrrg_from_module(top, 2)
-        usage = contexts_used(g)
+        usage = Counter(node.context for node in g.nodes)
         assert usage[0] == usage[1]
 
     def test_paper_archs_validate(self):

@@ -546,7 +546,7 @@ print(served.fingerprint, fingerprint_request(arch, dfg, 1, PortfolioConfig().de
 # Update only when the fingerprint scheme, RULESET_VERSION or the
 # PortfolioConfig.describe() document changes on purpose: every store
 # written before the change stops being served.
-GOLDEN_FINGERPRINT = "88abe81ca69e5de8ba288a4b99726024020504b35196d46c559eeac95b19d57a"
+GOLDEN_FINGERPRINT = "43ced86095b6e760cc883ad243f25eee53be15aae2b9731e8b504b048ad59f47"
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])

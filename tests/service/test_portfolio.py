@@ -28,6 +28,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             StageSpec(mapper="quantum")
 
+    def test_unknown_backend_rejected(self):
+        # Rejected when the ladder is written, not by the first instance
+        # that passes the screens and reaches the solver.
+        with pytest.raises(ValueError, match="unknown ILP backend 'gurobi'"):
+            StageSpec(mapper="ilp", backend="gurobi")
+
     def test_budget_growth_below_one_rejected(self):
         with pytest.raises(ValueError):
             StageSpec(mapper="ilp", budget_growth=0.5)
@@ -42,7 +48,7 @@ class TestSpecs:
 
     def test_default_ladder_shape(self):
         labels = [s.label for s in default_ladder()]
-        assert labels == ["greedy", "sa", "ilp-highs", "ilp-bnb"]
+        assert labels == ["greedy", "sa", "ilp-highs"]
 
     def test_describe_is_json_able(self):
         import json
