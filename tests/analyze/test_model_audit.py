@@ -18,7 +18,7 @@ from repro.ilp.standard_form import compile_model
 from repro.kernels.registry import kernel
 from repro.mapper.base import MapStatus
 from repro.mapper.ilp_mapper import ILPMapper, ILPMapperOptions, build_formulation
-from repro.mrrg import MRRGFactory
+from repro.mrrg import MRRGFactory, build_mrrg_from_module, prune
 
 
 # ----------------------------------------------------------------------
@@ -100,12 +100,7 @@ def test_conditioning_warning():
 # capacity screen / structural witnesses
 # ----------------------------------------------------------------------
 def test_oversized_kernel_yields_witness():
-    from repro.kernels.registry import kernel
-
     dfg = kernel("accum")  # 18 ops; 2x2 homogeneous at II=1 has 14 slots
-    from repro.arch.testsuite import paper_architecture
-    from repro.mrrg import build_mrrg_from_module, prune
-
     mrrg = prune(build_mrrg_from_module(
         paper_architecture("homogeneous", "orthogonal", rows=2, cols=2), 1
     ))
@@ -123,9 +118,6 @@ def test_screen_is_silent_on_feasible_instance(tiny_dfg, mrrg_2x2_ii1):
 
 def test_mapper_returns_witness_without_invoking_solver(monkeypatch):
     """The acceptance path: oversized kernel, solver must not run."""
-    from repro.arch.testsuite import paper_architecture
-    from repro.kernels.registry import kernel
-    from repro.mrrg import build_mrrg_from_module, prune
 
     def explode(*args, **kwargs):  # pragma: no cover - must never run
         raise AssertionError("HiGHS was invoked despite a structural witness")
