@@ -45,11 +45,7 @@ def form_digest(form) -> str:
     for part in parts:
         data = part.tobytes()
         digest.update(len(data).to_bytes(8, "little") + data)
-    names = [
-        list(form.row_labels or ()),
-        list(form.var_names or ()),
-        [[b.family, b.start, b.stop] for b in form.blocks or ()],
-    ]
+    names = [list(form.row_labels or ()), list(form.var_names or ())]
     for name_list in names:
         data = json.dumps(name_list).encode("utf-8")
         digest.update(len(data).to_bytes(8, "little") + data)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from repro.analyze.model_audit import constraint_family
 from repro.arch import GridSpec, build_grid
 from repro.arch.testsuite import paper_architecture
 from repro.frontend import compile_path
@@ -60,9 +61,8 @@ def _forms(dfg, mrrg, **options):
 def _bound_rows(form) -> list[int]:
     return [
         row
-        for block in form.blocks
-        if block.family in BOUND_FAMILIES
-        for row in range(block.start, block.stop)
+        for row, label in enumerate(form.row_labels)
+        if constraint_family(label, row) in BOUND_FAMILIES
     ]
 
 

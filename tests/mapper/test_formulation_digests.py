@@ -3,20 +3,22 @@
 ``build_formulation`` has one emitter.  Each cell below builds one
 instance, compiles it and compares :func:`form_digest` of the
 ``StandardForm`` (A, row and variable bounds, c, c0, integrality, row
-labels, variable names and family blocks) with the recorded value, so
-no row, order, bound, label or block can drift unnoticed: row order is
-part of the model's identity and steers the solver's search path.
+labels and variable names) with the recorded value, so no row, order,
+bound or label can drift unnoticed: row order is part of the model's
+identity and steers the solver's search path.
 
-The table was recorded from the blockwise emitter while the per-row
-``LinExpr`` emitter it replaced still existed, and that emitter produced
-the same forms on every cell.  Changing a digest is a deliberate edit of
-this table, and CHANGES.md says why.
+The blockwise emitter was first pinned against the per-row ``LinExpr``
+emitter it replaced, which produced the same forms on every cell.  The
+digests were re-recorded once, when the digest stopped hashing row-block
+spans (a row's family is the prefix of its label).  Changing a digest
+is a deliberate edit of this table, and CHANGES.md says why.
 """
 
 import functools
 
 import pytest
 
+from repro.analyze.model_audit import constraint_family
 from repro.arch import GridSpec, build_grid
 from repro.arch.testsuite import PAPER_ARCHITECTURES, paper_architecture
 from repro.dfg import DFGBuilder
@@ -78,95 +80,95 @@ def _compile(kernel_name: str, fabric: str, variant: str):
 #: opcodes, and every unit of the homogeneous fabric hosts both.
 DIGESTS = {
     ("accum", "homoge_orth_ii1", "defaults"):
-        "4ae2587808a0cfd6ec817adf2dbe65ec981c2870604278c053197bc56414db04",
+        "0a06b376c410eca798b3cbbdfd3b8d4326bbf589dad52010bc11c39952677242",
     ("accum", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "1ebc5ac9034684afa0d2cbcb908af2ba5f3bd7ca46714816a22fb5406cd4695b",
+        "b40d6bd198cd62e416e076d70ed0cdb5db75f33d2a56a87c605252c8a619e5ef",
     ("mac", "homoge_orth_ii1", "defaults"):
-        "df8f7db68bbc9b65e4ea93f51913bf3ca0a2723926d98361db41a6b0317fc963",
+        "21d17427fa773327818e4d86cba341259f704b4217ea03dbb338b75e9952db5b",
     ("mac", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "b57e45f65559c31d8a0d902aca6fbfe2f44285fa6882cc991952934107ab6d07",
+        "720713065b9be6e0f77bfbd2902bcd5368a6acc5bc69bc2317447d1dfc380897",
     ("add_10", "homoge_orth_ii1", "defaults"):
-        "a16ae3398145d966e3b3be2abf30e9b2724ee8fd1a037fc94b82fed4fd6712c6",
+        "3825c4a7304569ef7cd21a75ffb217532488698960484578232f033648f2236c",
     ("add_10", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "bcc4d125ac70f16f37c7e5857c55e22c663774bb3c27b8a8079976ddf32d864f",
+        "08e4b1dd83f1484dafc2113a55c25c9faf85a9dd89e2ed27e1e5498ae16d0a21",
     ("add_14", "homoge_orth_ii1", "defaults"):
-        "8e143d5285eb61de04d55da768cbc2ffe762705cd088183eca4c7387f66a5698",
+        "0c3767fd0973a104e30bcdb9a11bf515a557fa63906dc6bb5e64ec38baba7db8",
     ("add_14", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "58f92e6e3b2856ae38dbe5b5ae5fd5e7ad369a81221690ac8bca9c1a48f9d470",
+        "f284e266121ef6e80fdac9ec88532484b98871bbcc6098a6a66052d974390a53",
     ("add_16", "homoge_orth_ii1", "defaults"):
-        "b7320fdfdee28d6d6932ab717e5eb3be5b42a2bc475d7085af30ad53825a2262",
+        "59cfe47e6ac835b4beae35e3773c247f781b1f51f26aff9ff234cc8551360d66",
     ("add_16", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "c5d991b066616d247fda35aabdce0f7dea5422035d7cbd176201fc8ea210fba8",
+        "693e51f59069a01214b79e6b26801261940218574493d08c20cbd43c6eb80955",
     ("mult_10", "homoge_orth_ii1", "defaults"):
-        "99e07a238c4c0fb6fb34e4cb31ee3747fef5a85d69c82f70ff0e9dc42515a079",
+        "ae3bf02f001b71756712d2b9b3db029d20fb3fc66fb7e93f0aad72c276abded6",
     ("mult_10", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "13bfc09639a5b4cab523a2bb19e53fd495c56d065c1873f21b36b217e97d05d7",
+        "5095d967199f12a03d881acef591487d06ead3cbc5b4b0e40ebb6f069b1f7bf6",
     ("mult_14", "homoge_orth_ii1", "defaults"):
-        "cf29d37c4895f9c196dbc0d3d9b2479632a5d1c59d952b196a58dccbe85f3f1e",
+        "f541c2756974c92184f00a5640375de11cd3cc2b3f3435c1f6bc9c59fda081f6",
     ("mult_14", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "914af42ad6ba9c810d93f4423e8d19b9f9674b79acd77518306bf808fb8211f8",
+        "d0f61eb2a40fc3fa7dd3a0d79815544758395f59c50651a77d35f9bd89e3115e",
     ("mult_16", "homoge_orth_ii1", "defaults"):
-        "15e9600a67d30246ab1e13899d1672ff66acbd77e7b941da7fed659254427efc",
+        "00448db5b5a3440722c7b2eeacb67f0ede5839963ae97e99a8e7f23e561e8937",
     ("mult_16", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "d8014b4cc57cf18e2c44a3320ba10899d869ff8e171a330a100473dcd5f552ed",
+        "0f4d784362e056bdf9d4dd746b4dbf3bb03c88a366dfab7e28b578627366f25e",
     ("2x2-f", "homoge_orth_ii1", "defaults"):
-        "6dbafe087d3f787ffde128598c04648614e61585864bc4c40845096fb77b592e",
+        "b364ace68aadbd3b3985de4759d080956ab7bace3b8db3c1ff1e4b1b11097b4d",
     ("2x2-f", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "76c9391c1639f314ea9d64952658fa1ad348052e329155688136ca3c75c812f7",
+        "ac3bdd492c4056dd551eb10f5e41d324fab877ba794d8c76b4459a964ff39e48",
     ("2x2-p", "homoge_orth_ii1", "defaults"):
-        "7c03a4ce07c902cdad95a7fa4d150c323057b11052317041342f06cc85f84da2",
+        "66a9125776662e07e5009191d76d56ee1a15f4d2468f7341ee8bc6488a281bfb",
     ("2x2-p", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "1e22a68b4a5013b9c729e74ddf576ed4f6e120f909b752c7fc113dda94941963",
+        "83b6a7ec00f5b09647f5f9a2af8be5294cb61c5e08a221b7e7e147d58f2eed94",
     ("cos_4", "homoge_orth_ii1", "defaults"):
-        "caf1ee7d3ae9b17ab92da1f1c4c673710315520a707fe50deef3abf33a94d4c8",
+        "925e5846b5b7159a30ab4369ad64c27c42f9daea96a7652a7117fc47a79ccd59",
     ("cos_4", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "619fe57144d28bd130f68a73eaf49fd6aa13401c31b0b2f3a6f882c23b679f3a",
+        "1a7d99e2d3f3667d164a1048707f13a156f888b331ec118a9ece9b7d5070e63a",
     ("cosh_4", "homoge_orth_ii1", "defaults"):
-        "caf1ee7d3ae9b17ab92da1f1c4c673710315520a707fe50deef3abf33a94d4c8",
+        "925e5846b5b7159a30ab4369ad64c27c42f9daea96a7652a7117fc47a79ccd59",
     ("cosh_4", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "619fe57144d28bd130f68a73eaf49fd6aa13401c31b0b2f3a6f882c23b679f3a",
+        "1a7d99e2d3f3667d164a1048707f13a156f888b331ec118a9ece9b7d5070e63a",
     ("exp_4", "homoge_orth_ii1", "defaults"):
-        "5d4826dfd0f3e93587e498e8b8207c647012b8343af614c2055f5d1372d4b6bf",
+        "32063d580c44ab33c7e628c9af8a219dcae60483ff390f97c76f84e48ba32f23",
     ("exp_4", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "082646f43299b162d09924849858b366a57fc9e789f02f3323634e6a26c4a1e4",
+        "5cb68ef2cffc76e273bfa72e4ffbc79ea8f742d2849f398e9da672c23e3e2453",
     ("exp_5", "homoge_orth_ii1", "defaults"):
-        "ead95a76abb4487a5186027768da871fc9064b4c452384ba36d62a4cfc8fc680",
+        "37133451d978aaa9ed71fefa0e28a35cc1058287027854d3a4661fb6ae42683b",
     ("exp_5", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "bb11219ee2ed743108767bf5cc70658305e0f90c227a7a968ecdb8e23c5c329e",
+        "cda90da828d058dcc2adc1ecc5dded6cead6abc034672ad556830a1361c9a9ed",
     ("exp_6", "homoge_orth_ii1", "defaults"):
-        "d3dbc7488de01714776401fa7998ab8f19fdbbcd61212e9d9beb7451ee2ef000",
+        "0cd0fd898a8671aa4473101f00148e9fc4390fb437c3d7d0fe150620e792f9e4",
     ("exp_6", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "4658f5876f93d8489a42fe0f56a67c31e7dd93f0ca0ff637777657d642f31cfc",
+        "97f63d83b523666456198dec36b34332641101dc28e6108e5ab8e9f77d2c70e3",
     ("sinh_4", "homoge_orth_ii1", "defaults"):
-        "cc7cef648dbbf70ec65e9c56fe5f2fe95b905ebd227c6d4589b816db571a09f1",
+        "302295c1ac597af78e2e119609b6d1b5ef49b39d270f283b8334ec13aa8fa39d",
     ("sinh_4", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "68481092cb25430ba37f4afc10184ab652df4b90f291c2223b0dc3efe737cc91",
+        "bd989ae85bb7ecd1de340c1cf826b35eff69fde0b644c3c4278ca27767dfaee2",
     ("tay_4", "homoge_orth_ii1", "defaults"):
-        "9df4a1be4f450137806dcdd8efdd13b2de9e39c4376b993a5ec0d6cb2e29edee",
+        "e507e8ad74e17d2488a142e7e73daf5c31026cde80d9e9d8da84023a3216996d",
     ("tay_4", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "47d437940581434ef4bc8da2da7983e565c2961a35bfe2e0d3337d568e22d32b",
+        "7a311fb76c0de26c19cba81b30d09db4fef733b80ba4418a4dc458fadf26b214",
     ("extreme", "homoge_orth_ii1", "defaults"):
-        "66a5e7fccd58bcc0bab8b5215fc5ba2acfcab7e9dcfa4b2eb422cf2d2f3014f9",
+        "7e7d3f449dd9d1d22b7c1b01a3b142acd8778d2e8c4456b3586f6d8d70124fb1",
     ("extreme", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "1864df54c7c0e980e90148589c65fa048d660c6738be90c70e614093592e28ce",
+        "1720d5f0f0481759f2fbc8fd0d8adca9bb4b61d4b35ba0fced255abe326ccca4",
     ("weighted_sum", "homoge_orth_ii1", "defaults"):
-        "03ef7d942f480420e26ced5e4ca650504c224219947c27b9e7663728c0c5f493",
+        "a409f1ee350ce42f29f3f33355d90f0aacf8b27655dac8f0a8ca76bcf1455870",
     ("weighted_sum", "homoge_orth_ii1", "mip_rel_gap=1.0"):
-        "bf462996307cc46c306cd0d57c1b3469c4072d0547720a3c12cd5bd8663db434",
+        "5a5adbf28138f070052838eb10d2fbaf5d748ccb9231c316aab328911c52a299",
     ("extreme", "homoge_orth_ii2", "mip_rel_gap=1.0"):
-        "b686fe720c99075173cc44436040c50328f25f49a1c2d4a1289605f61e173420",
+        "c4bb7605cc03cac89da6f3dfbccd38ef4c35df8edc5439a3bcdc95d054ff0986",
     ("fan", "grid_2x2_ii2", "defaults"):
-        "d3febb2ed2f190b4fa9ac096b846a9af8c8451b34dd0c0240e1d4143a8683802",
+        "68df693332fecce1776c122b24d3919ad79b26df0d72345e0d908fa54068a97a",
     ("fan", "grid_2x2_ii2", "mip_rel_gap=1.0"):
-        "06b8d6244c3f1a3deb92031e136ffd2c2af0b781c115140c0a4b2b5d85175877",
+        "9cca55732c4e1277f92f9912671543aa8c9776575ea75bd7afd48fd1c9ea7c15",
     ("fan", "grid_2x2_ii2", "split_sub_values=False"):
-        "3ea86b320bb6acd862dcfe9b6db9fdd239c7d664f6e7ae32b40057fe3d529572",
+        "861175f56c880dc0c1819261f281ae26f8e39a6310d1e6e8119f070991fe3cd0",
     ("fan", "grid_2x2_ii2", "mux_exclusivity=False"):
-        "46ce6b070943643771ade85fcc2b8b8d5b7305dd0c90b0b08fddffbacbeb299c",
+        "073f54f8176b16aea2782fe0eaf90ecb0fb607f3a498c0533c2fb5573d9d4dba",
     ("accum", "homoge_diag_3x3_ii1", "require_registered_feedback=True"):
-        "5b3626734dd69acae78e011d85f0d8f4546f0d69d22625743e39d37b3de14b51",
+        "9548649b992e6630daeaaaa4986dc09b493d6b0a3a91ea93fb7910dd110fd2c2",
     ("mac", "homoge_diag_3x3_ii1", "require_registered_feedback=True"):
-        "a2f2b4edd9063924885a7df8e6b014da1ab3761dcd2c2e1b290450d22879a3a2",
+        "3a57829dc1b7fb1774eeda052fc0537fcae77f93c826f4b1324c7cbc6ba84bef",
 }
 
 #: Rows and nonzeros of the paper's formulation of ``extreme``, the
@@ -210,16 +212,14 @@ def test_table_pins_every_cell():
 
 
 def test_formulation_records_family_blocks():
-    """Every row belongs to one family block, and a family with no rows
-    opens none."""
+    """Every row's label starts with a known constraint family (section 4
+    or 5.7), and the optimality form has the bound-row families."""
     arch = paper_architecture("homogeneous", "orthogonal", rows=3, cols=3)
     mrrg = prune(build_mrrg_from_module(arch, 1))
     form = compile_model(build_formulation(kernel("mac"), mrrg).model)
-    assert form.blocks, "the compiled form should carry BlockInfo metadata"
-    assert all(b.size > 0 for b in form.blocks)
-    covered = sum(b.size for b in form.blocks)
-    assert covered == form.num_rows
-    families = {b.family for b in form.blocks}
+    families = {
+        constraint_family(label, row) for row, label in enumerate(form.row_labels)
+    }
     assert {"placement", "arrival", "inflow"} <= families
     assert families <= {
         "placement",
