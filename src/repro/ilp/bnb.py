@@ -60,6 +60,11 @@ def solve_bnb_form(
             (l if math.isfinite(l) else None, u if math.isfinite(u) else None)
             for l, u in zip(lb.tolist(), ub.tolist())
         ]
+        # The remaining budget bounds each LP, not just the node loop.
+        options = {}
+        if time_limit is not None:
+            elapsed = time.perf_counter() - start
+            options["time_limit"] = max(time_limit - elapsed, 0.0)
         return optimize.linprog(
             c,
             A_ub=a_ub,
@@ -68,6 +73,7 @@ def solve_bnb_form(
             b_eq=b_eq,
             bounds=bounds,
             method="highs",
+            options=options,
         )
 
     def out_of_time() -> bool:
@@ -92,6 +98,9 @@ def solve_bnb_form(
             continue
         nodes_explored += 1
         result = lp(node.lb, node.ub)
+        if result.status == 1 and out_of_time():  # the LP hit the budget
+            exhausted = False
+            break
         if result.status == 2:  # infeasible subproblem
             continue
         if result.status == 3:  # unbounded relaxation at the root

@@ -147,6 +147,24 @@ class TestBnbSpecifics:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.nodes >= 1
 
+    def test_time_limit_bounds_a_running_lp(self):
+        """The budget bounds each LP, not only the node loop: without it,
+        the root LP of extreme's 27,779-row feasibility form alone runs
+        for over a second on a 2-vCPU host."""
+        from repro.arch.testsuite import PAPER_ARCHITECTURES
+        from repro.explore import build_arch_mrrg
+        from repro.ilp import solve_bnb_form
+        from repro.kernels.registry import kernel
+        from repro.mapper.ilp_mapper import ILPMapperOptions, build_formulation
+
+        (arch,) = [a for a in PAPER_ARCHITECTURES if a.key == "homoge_orth_ii2"]
+        formulation = build_formulation(
+            kernel("extreme"), build_arch_mrrg(arch), ILPMapperOptions(mip_rel_gap=1.0)
+        )
+        solution = solve_bnb_form(compile_model(formulation.model), time_limit=0.05)
+        assert solution.status is SolveStatus.TIMEOUT
+        assert solution.wall_time < 1.0
+
 
 class TestHighsSpecifics:
     def test_time_limit_reported(self):
