@@ -66,7 +66,6 @@ from pathlib import Path
 EMISSION_SUFFIXES = (
     "ilp/model.py",
     "ilp/expr.py",
-    "ilp/blocks.py",
     "ilp/standard_form.py",
     "mapper/ilp_mapper.py",
     "mapper/sweep.py",

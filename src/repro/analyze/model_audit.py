@@ -457,7 +457,6 @@ def _subform(form: StandardForm, keep: Sequence[int]) -> StandardForm:
             if form.row_labels is not None
             else None
         ),
-        blocks=None,
     )
 
 

@@ -2,9 +2,9 @@
 
 The paper solves its formulation with Gurobi.  This package provides the
 equivalent substrate without external solvers: a modeling layer
-(:class:`Model`, :class:`LinExpr`), a blockwise emission API
-(:mod:`repro.ilp.blocks`) for compiled O(nnz) lowering, a compiler to
-matrix standard form, a HiGHS backend through
+(:class:`Model`, :class:`LinExpr`) that keeps its rows once, as sparse
+triplets in emission order, a compiler to matrix standard form that
+converts that row store to arrays in O(nnz), a HiGHS backend through
 :func:`scipy.optimize.milp` (HiGHS runs its own presolve, as Gurobi
 does for the paper), and a from-scratch branch-and-bound solver for
 cross-checking and full inspectability.  The backends take only a
@@ -13,7 +13,6 @@ cross-checking and full inspectability.  The backends take only a
 stages.
 """
 
-from .blocks import BlockEmitter, BlockError, BlockInfo, RowBlock, VarBlock
 from .bnb import solve_bnb_form
 from .expr import Constraint, LinExpr, Sense, Var, VarType, lin_sum
 from .highs_backend import solve_highs_form
@@ -24,21 +23,16 @@ from .status import Solution, SolveStatus
 
 __all__ = [
     "BACKENDS",
-    "BlockEmitter",
-    "BlockError",
-    "BlockInfo",
     "Constraint",
     "LinExpr",
     "Model",
     "ModelError",
     "ModelStats",
-    "RowBlock",
     "Sense",
     "Solution",
     "SolveStatus",
     "StandardForm",
     "Var",
-    "VarBlock",
     "VarType",
     "compile_model",
     "lin_sum",

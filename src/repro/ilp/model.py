@@ -1,23 +1,27 @@
 """MILP model container.
 
-A :class:`Model` owns variables, constraints and an objective.  It is
+A :class:`Model` owns variables, constraint rows and an objective.  It is
 backend-independent: ``compile_model`` lowers it to a ``StandardForm``,
 which ``repro.ilp.solve`` dispatches to a concrete solver (HiGHS via SciPy,
 or the pure-Python branch-and-bound in ``repro.ilp.bnb``).
 
-Rows can be added through two surfaces:
+Rows are stored once, in emission order, as CSR-style triplets
+(``indptr`` delimits each row's slice of the flat ``cols``/``data``
+lists) with ranged bounds (``row_lb <= a @ x <= row_ub``) and a label
+per row.  Within a row the columns are strictly increasing and every
+coefficient is nonzero.  Two surfaces append to the store:
 
-* the **legacy per-row API** (:meth:`Model.add` / :meth:`Model.add_terms`)
-  building one :class:`~repro.ilp.expr.Constraint` per row — convenient
-  for small hand-written models and kept object-for-object compatible;
-* the **block API** (:meth:`Model.add_var_block` /
-  :meth:`Model.add_rows`) from :mod:`repro.ilp.blocks`, which stores rows
-  directly as family-tagged sparse triplets and is what the CGRA
+* the expression surface (:meth:`Model.add` / :meth:`Model.add_terms`)
+  lowers each :class:`~repro.ilp.expr.Constraint` when it is added, for
+  small hand-written models;
+* the index surface (:meth:`Model.sorted_row` / :meth:`Model.pairs_row`)
+  appends rows given as column indices, which is what the CGRA
   formulation builder emits through.
 
-Both populate the same ordered row sequence; ``compile_model`` lowers
-block rows with O(nnz) array concatenation and legacy rows with the
-original per-``LinExpr`` walk.
+Row order is part of the model identity (solver search paths depend on
+it): rows are never sorted across, only within, which keeps emission
+deterministic as long as the caller iterates deterministically (see
+``repro.analyze.lint`` rule R001).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import dataclasses
 import math
 from collections.abc import Iterable, Sequence
 
-from .blocks import BlockEmitter, RowBlock, VarBlock
 from .expr import Constraint, LinExpr, Sense, Var, VarType
 
 
@@ -51,15 +54,6 @@ class ModelStats:
     num_nonzeros: int
 
 
-class _LegacySegment:
-    """A run of per-row constraints added through the legacy API."""
-
-    __slots__ = ("constraints",)
-
-    def __init__(self) -> None:
-        self.constraints: list[Constraint] = []
-
-
 def _default_var_name(family: str, key) -> str:
     if isinstance(key, tuple):
         return family + "".join(f"[{part}]" for part in key)
@@ -73,14 +67,15 @@ class Model:
         self.name = name
         self._vars: list[Var] = []
         self._var_names: dict[str, Var] = {}
-        # Ordered row storage: legacy segments and row blocks interleave
-        # in creation order; global row order is segment order then
-        # within-segment emission order.
-        self._segments: list[RowBlock | _LegacySegment] = []
+        # The row store (see module docstring).
+        self.indptr: list[int] = [0]
+        self.cols: list[int] = []
+        self.data: list[float] = []
+        self.row_lb: list[float] = []
+        self.row_ub: list[float] = []
+        self.labels: list[str] = []
         self._objective: LinExpr = LinExpr()
         self._sense: str = ObjectiveSense.MINIMIZE
-        self._constraint_cache: tuple[Constraint, ...] | None = None
-        self._constraint_cache_rows: int = -1
 
     # ------------------------------------------------------------------
     # variables
@@ -120,47 +115,24 @@ class Model:
         return self.add_var(name, lb, ub, VarType.CONTINUOUS)
 
     def add_var_block(
-        self,
-        family: str,
-        keys: Iterable,
-        lb: float = 0.0,
-        ub: float = 1.0,
-        vtype: VarType = VarType.BINARY,
-        name_fn=None,
-    ) -> tuple[VarBlock, list[Var]]:
-        """Create one variable per key as a named contiguous block.
+        self, family: str, keys: Iterable, name_fn=None
+    ) -> tuple[range, list[Var]]:
+        """Create one binary variable per key, at contiguous indices.
 
         Args:
-            family: block name; variable names default to
-                ``family[k0][k1]...`` for tuple keys, ``family[key]``
-                otherwise.
+            family: variable names default to ``family[k0][k1]...`` for
+                tuple keys, ``family[key]`` otherwise.
             keys: per-variable keys, in emission order (must be
-                deterministic — the block records them for extraction).
-            lb/ub/vtype: shared domain (defaults to binary).
+                deterministic: variable order is part of the model).
             name_fn: optional ``(family, key) -> str`` naming override.
 
         Returns:
-            The :class:`VarBlock` and the created variables in key order.
+            The block's variable indices and its variables in key order.
         """
         namer = name_fn or _default_var_name
         start = len(self._vars)
-        created = [
-            self.add_var(namer(family, key), lb, ub, vtype) for key in keys
-        ]
-        block = VarBlock(
-            name=family,
-            start=start,
-            size=len(created),
-            vtype=vtype,
-            keys=tuple(keys) if not isinstance(keys, tuple) else keys,
-        )
-        # `keys` may be a one-shot iterable consumed by the comprehension;
-        # rebuild from the created variable names if so.
-        if len(block.keys) != len(created):
-            block = dataclasses.replace(
-                block, keys=tuple(v.name for v in created)
-            )
-        return block, created
+        created = [self.add_binary(namer(family, key)) for key in keys]
+        return range(start, start + len(created)), created
 
     def var(self, name: str) -> Var:
         try:
@@ -178,15 +150,12 @@ class Model:
     # ------------------------------------------------------------------
     # constraints and objective
     # ------------------------------------------------------------------
-    def _legacy_segment(self) -> _LegacySegment:
-        if self._segments and isinstance(self._segments[-1], _LegacySegment):
-            return self._segments[-1]
-        segment = _LegacySegment()
-        self._segments.append(segment)
-        return segment
-
     def add(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Add a constraint built with expression comparison operators."""
+        """Add a constraint built with expression comparison operators.
+
+        The constraint is lowered into the row store now, with its name
+        as the row label.
+        """
         if not isinstance(constraint, Constraint):
             raise ModelError(
                 "expected a Constraint (did the comparison fold to bool?)"
@@ -194,7 +163,12 @@ class Model:
         self._check_ownership(constraint.expr)
         if name:
             constraint.name = name
-        self._legacy_segment().constraints.append(constraint)
+        self.pairs_row(
+            list(constraint.expr.terms.items()),
+            constraint.sense,
+            constraint.rhs,
+            constraint.name,
+        )
         return constraint
 
     def add_terms(
@@ -204,24 +178,8 @@ class Model:
         rhs: float,
         name: str = "",
     ) -> Constraint:
-        """Fast-path constraint construction from (var, coeff) pairs."""
-        constraint = Constraint(LinExpr.from_terms(terms), sense, rhs, name)
-        self._check_ownership(constraint.expr)
-        self._legacy_segment().constraints.append(constraint)
-        return constraint
-
-    def add_rows(self, family: str) -> BlockEmitter:
-        """Open a new family-tagged row block and return its emitter.
-
-        Rows appended through the emitter occupy the global row positions
-        following every row added before this call; interleave multiple
-        emitters only if that global order is intended.
-        """
-        if not family:
-            raise ModelError("row-block family must be non-empty")
-        block = RowBlock(family)
-        self._segments.append(block)
-        return BlockEmitter(block, lambda: len(self._vars))
+        """Add a constraint given as (var, coeff) pairs."""
+        return self.add(Constraint(LinExpr.from_terms(terms), sense, rhs, name))
 
     def _check_ownership(self, expr: LinExpr) -> None:
         for var in expr.variables():
@@ -230,57 +188,89 @@ class Model:
                     f"variable {var.name!r} does not belong to model {self.name!r}"
                 )
 
-    @property
-    def row_segments(self) -> tuple:
-        """The ordered row storage (legacy segments and row blocks)."""
-        return tuple(self._segments)
+    def sorted_row(
+        self,
+        cols: Iterable[int],
+        coefs: Iterable[float],
+        sense: Sense,
+        rhs: float,
+        label: str,
+    ) -> None:
+        """Append one row whose columns are already in store form.
+
+        The caller guarantees ``cols`` is strictly increasing, every
+        index is in range, and every coefficient is nonzero.  No
+        per-element work is done, which is what makes constraint
+        families with a known column order (e.g. two-term rows whose
+        variable blocks were created in index order) O(nnz) with a tiny
+        constant.
+        """
+        self.cols.extend(cols)
+        self.data.extend(coefs)
+        self._finish(sense, rhs, label)
+
+    def pairs_row(
+        self,
+        pairs: list[tuple[int, float]],
+        sense: Sense,
+        rhs: float,
+        label: str,
+    ) -> None:
+        """Append one row given as (col, coeff) pairs (sorted in place).
+
+        Repeated columns are summed, and exact-zero coefficients,
+        including sums that cancel, are dropped.
+        """
+        cols, data = self.cols, self.data
+        pairs.sort()
+        last_col: int | None = None
+        for col, coef in pairs:
+            if coef == 0.0:
+                continue
+            if col == last_col:
+                data[-1] += coef
+                if data[-1] == 0.0:
+                    data.pop()
+                    cols.pop()
+                    last_col = None
+                continue
+            cols.append(col)
+            data.append(coef)
+            last_col = col
+        self._finish(sense, rhs, label)
+
+    def _finish(self, sense: Sense, rhs: float, label: str) -> None:
+        self.indptr.append(len(self.cols))
+        rhs = float(rhs)
+        self.row_lb.append(-math.inf if sense is Sense.LE else rhs)
+        self.row_ub.append(math.inf if sense is Sense.GE else rhs)
+        self.labels.append(label)
 
     @property
     def num_constraints(self) -> int:
-        return sum(
-            len(seg.constraints) if isinstance(seg, _LegacySegment) else seg.num_rows
-            for seg in self._segments
-        )
-
-    def _materialize(self, block: RowBlock) -> list[Constraint]:
-        """Build Constraint views of a row block (for legacy consumers)."""
-        constraints = []
-        for row in range(block.num_rows):
-            lo, hi = block.indptr[row], block.indptr[row + 1]
-            refs = {c: self._vars[c] for c in block.cols[lo:hi]}
-            expr = LinExpr(
-                dict(zip(block.cols[lo:hi], block.data[lo:hi])), 0.0, refs
-            )
-            sense, rhs = block.row_sense_rhs(row)
-            constraints.append(Constraint(expr, sense, rhs, block.labels[row]))
-        return constraints
+        return len(self.labels)
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        num_rows = self.num_constraints
-        if (
-            self._constraint_cache is None
-            or self._constraint_cache_rows != num_rows
-        ):
-            rows: list[Constraint] = []
-            for segment in self._segments:
-                if isinstance(segment, _LegacySegment):
-                    rows.extend(segment.constraints)
-                else:
-                    rows.extend(self._materialize(segment))
-            self._constraint_cache = tuple(rows)
-            self._constraint_cache_rows = num_rows
-        return self._constraint_cache
-
-    def row_labels(self) -> list[str]:
-        """Per-row diagnostic labels in global row order."""
-        labels: list[str] = []
-        for segment in self._segments:
-            if isinstance(segment, _LegacySegment):
-                labels.extend(c.name for c in segment.constraints)
+        """The stored rows as :class:`Constraint` objects, in row order."""
+        views = []
+        for row, label in enumerate(self.labels):
+            lo, hi = self.indptr[row], self.indptr[row + 1]
+            cols = self.cols[lo:hi]
+            expr = LinExpr(
+                dict(zip(cols, self.data[lo:hi])),
+                0.0,
+                {col: self._vars[col] for col in cols},
+            )
+            lb, ub = self.row_lb[row], self.row_ub[row]
+            if lb == ub:
+                sense, rhs = Sense.EQ, ub
+            elif math.isinf(lb):
+                sense, rhs = Sense.LE, ub
             else:
-                labels.extend(segment.labels)
-        return labels
+                sense, rhs = Sense.GE, lb
+            views.append(Constraint(expr, sense, rhs, label))
+        return tuple(views)
 
     def minimize(self, expr: LinExpr | Var | float) -> None:
         self._set_objective(expr, ObjectiveSense.MINIMIZE)
@@ -295,7 +285,7 @@ class Model:
         constant: float = 0.0,
         maximize: bool = False,
     ) -> None:
-        """Block-style objective: parallel index/coefficient arrays."""
+        """Objective from parallel index/coefficient arrays."""
         refs = {c: self._vars[c] for c in cols}
         expr = LinExpr(dict(zip(cols, coefs)), constant, refs)
         self._set_objective(
@@ -326,12 +316,6 @@ class Model:
     # introspection
     # ------------------------------------------------------------------
     def stats(self) -> ModelStats:
-        nnz = 0
-        for segment in self._segments:
-            if isinstance(segment, _LegacySegment):
-                nnz += sum(len(c.expr.terms) for c in segment.constraints)
-            else:
-                nnz += segment.num_nonzeros
         by_type = {t: 0 for t in VarType}
         for var in self._vars:
             by_type[var.vtype] += 1
@@ -341,7 +325,7 @@ class Model:
             num_integer=by_type[VarType.INTEGER],
             num_continuous=by_type[VarType.CONTINUOUS],
             num_constraints=self.num_constraints,
-            num_nonzeros=nnz,
+            num_nonzeros=len(self.data),
         )
 
     def check_assignment(self, values: dict[int, float], tol: float = 1e-6) -> list[str]:
@@ -353,29 +337,10 @@ class Model:
                 violations.append(f"bound violation on {var.name}: {val}")
             if var.vtype is not VarType.CONTINUOUS and abs(val - round(val)) > tol:
                 violations.append(f"integrality violation on {var.name}: {val}")
-        row = 0
-        for segment in self._segments:
-            if isinstance(segment, _LegacySegment):
-                for constraint in segment.constraints:
-                    if not constraint.is_satisfied(values, tol):
-                        label = constraint.name or f"#{row}"
-                        violations.append(f"constraint {label} violated")
-                    row += 1
-            else:
-                for local in range(segment.num_rows):
-                    lo, hi = segment.indptr[local], segment.indptr[local + 1]
-                    lhs = sum(
-                        coeff * values.get(col, 0.0)
-                        for col, coeff in zip(
-                            segment.cols[lo:hi], segment.data[lo:hi]
-                        )
-                    )
-                    if not (
-                        segment.lb[local] - tol <= lhs <= segment.ub[local] + tol
-                    ):
-                        label = segment.labels[local] or f"#{row}"
-                        violations.append(f"constraint {label} violated")
-                    row += 1
+        for row, constraint in enumerate(self.constraints):
+            if not constraint.is_satisfied(values, tol):
+                label = constraint.name or f"#{row}"
+                violations.append(f"constraint {label} violated")
         return violations
 
     def objective_value(self, values: dict[int, float]) -> float:

@@ -9,18 +9,12 @@ Both backends consume the same :class:`StandardForm`:
 Maximization models are compiled by negating ``c`` (the solution layer
 un-negates the reported objective).
 
-``compile_model`` lowers the two row-storage kinds differently:
-
-* **row blocks** (from ``Model.add_rows``) are already flat sorted
-  triplets — compilation is O(nnz) array conversion plus one global
-  concatenation, with no per-row Python work;
-* **per-row constraints** (from ``Model.add`` / ``Model.add_terms``:
-  the mapper's registered-feedback rows and hand-built models) keep the
-  per-``LinExpr`` dict walk.
-
-The compiled form carries optional diagnostic metadata — per-row labels
-and per-variable names, which ``repro.analyze.model_audit`` reports, and
-:class:`~repro.ilp.blocks.BlockInfo` spans for family-tagged row blocks.
+The model already keeps its rows as flat, per-row-sorted CSR triplets
+with ranged bounds, so ``compile_model`` is O(nnz) array conversion with
+no per-row Python work.  The compiled form carries optional diagnostic
+metadata, per-row labels and per-variable names, which
+``repro.analyze.model_audit`` reports (a row's constraint family is the
+prefix of its label).
 """
 
 from __future__ import annotations
@@ -31,8 +25,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .blocks import BlockInfo, RowBlock
-from .expr import Sense, VarType
+from .expr import VarType
 from .model import Model
 
 
@@ -42,8 +35,7 @@ class StandardForm:
 
     The trailing metadata fields are optional diagnostics: ``row_labels``
     and ``var_names`` name rows/columns for audit findings and IIS
-    reports, ``blocks`` records the family-tagged row spans emitted
-    through the block API.  They do not affect solving.
+    reports.  They do not affect solving.
     """
 
     c: np.ndarray
@@ -58,7 +50,6 @@ class StandardForm:
     name: str = ""
     row_labels: tuple[str, ...] | None = None
     var_names: tuple[str, ...] | None = None
-    blocks: tuple[BlockInfo, ...] | None = None
 
     @property
     def num_vars(self) -> int:
@@ -127,106 +118,40 @@ class StandardForm:
 def compile_model(model: Model) -> StandardForm:
     """Lower a model to :class:`StandardForm`.
 
-    Row blocks compile with O(nnz) array concatenation; legacy per-row
-    constraints with the original dict walk.  Row order matches the
-    model's global row order exactly; within every row the column
-    indices are sorted, so equal rows are byte-identical in the CSR
-    arrays (the auditor's duplicate detection relies on this).
+    Row order matches the model's row order exactly; within every row
+    the column indices are sorted, so equal rows are byte-identical in
+    the CSR arrays (the auditor's duplicate detection relies on this).
     """
-    num_vars = len(model.variables)
+    variables = model.variables
+    num_vars = len(variables)
     c = np.zeros(num_vars)
     maximize = model.objective_sense == "max"
     for idx, coeff in model.objective.terms.items():
         c[idx] = -coeff if maximize else coeff
     c0 = -model.objective.constant if maximize else model.objective.constant
 
-    indptr_parts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    col_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    lb_parts: list[np.ndarray] = []
-    ub_parts: list[np.ndarray] = []
-    labels: list[str] = []
-    blocks: list[BlockInfo] = []
-    nnz = 0
-    num_rows = 0
-    for segment in model.row_segments:
-        if isinstance(segment, RowBlock):
-            blocks.append(
-                BlockInfo(segment.family, num_rows, num_rows + segment.num_rows)
-            )
-            indptr_parts.append(
-                np.asarray(segment.indptr[1:], dtype=np.int64) + nnz
-            )
-            col_parts.append(np.asarray(segment.cols, dtype=np.int64))
-            data_parts.append(np.asarray(segment.data, dtype=float))
-            lb_parts.append(np.asarray(segment.lb, dtype=float))
-            ub_parts.append(np.asarray(segment.ub, dtype=float))
-            labels.extend(segment.labels)
-            nnz += segment.num_nonzeros
-            num_rows += segment.num_rows
-        else:
-            seg_indptr: list[int] = []
-            seg_cols: list[int] = []
-            seg_data: list[float] = []
-            seg_lb: list[float] = []
-            seg_ub: list[float] = []
-            for constraint in segment.constraints:
-                terms = sorted(
-                    (idx, coeff)
-                    for idx, coeff in constraint.expr.terms.items()
-                    if coeff != 0.0
-                )
-                for idx, coeff in terms:
-                    seg_cols.append(idx)
-                    seg_data.append(coeff)
-                if constraint.sense is Sense.LE:
-                    seg_lb.append(-math.inf)
-                    seg_ub.append(constraint.rhs)
-                elif constraint.sense is Sense.GE:
-                    seg_lb.append(constraint.rhs)
-                    seg_ub.append(math.inf)
-                else:
-                    seg_lb.append(constraint.rhs)
-                    seg_ub.append(constraint.rhs)
-                seg_indptr.append(len(seg_cols))
-                labels.append(constraint.name)
-            indptr_parts.append(np.asarray(seg_indptr, dtype=np.int64) + nnz)
-            col_parts.append(np.asarray(seg_cols, dtype=np.int64))
-            data_parts.append(np.asarray(seg_data, dtype=float))
-            lb_parts.append(np.asarray(seg_lb, dtype=float))
-            ub_parts.append(np.asarray(seg_ub, dtype=float))
-            nnz += len(seg_cols)
-            num_rows += len(segment.constraints)
-
-    indptr = np.concatenate(indptr_parts)
-    col_idx = (
-        np.concatenate(col_parts) if col_parts else np.zeros(0, dtype=np.int64)
-    )
-    data = np.concatenate(data_parts) if data_parts else np.zeros(0)
     a = sparse.csr_matrix(
-        (data, col_idx, indptr), shape=(num_rows, num_vars)
-    )
-    row_lb = np.concatenate(lb_parts) if lb_parts else np.zeros(0)
-    row_ub = np.concatenate(ub_parts) if ub_parts else np.zeros(0)
-
-    var_lb = np.array([v.lb for v in model.variables], dtype=float)
-    var_ub = np.array([v.ub for v in model.variables], dtype=float)
-    integrality = np.array(
-        [0 if v.vtype is VarType.CONTINUOUS else 1 for v in model.variables],
-        dtype=np.int64,
+        (
+            np.asarray(model.data, dtype=float),
+            np.asarray(model.cols, dtype=np.int64),
+            np.asarray(model.indptr, dtype=np.int64),
+        ),
+        shape=(model.num_constraints, num_vars),
     )
     return StandardForm(
         c=c,
         c0=c0,
         A=a,
-        row_lb=row_lb,
-        row_ub=row_ub,
-        var_lb=var_lb,
-        var_ub=var_ub,
-        integrality=integrality,
+        row_lb=np.asarray(model.row_lb, dtype=float),
+        row_ub=np.asarray(model.row_ub, dtype=float),
+        var_lb=np.array([v.lb for v in variables], dtype=float),
+        var_ub=np.array([v.ub for v in variables], dtype=float),
+        integrality=np.array(
+            [0 if v.vtype is VarType.CONTINUOUS else 1 for v in variables],
+            dtype=np.int64,
+        ),
         maximize=maximize,
         name=model.name,
-        row_labels=tuple(labels),
-        var_names=tuple(v.name for v in model.variables),
-        blocks=tuple(blocks),
+        row_labels=tuple(model.labels),
+        var_names=tuple(v.name for v in variables),
     )

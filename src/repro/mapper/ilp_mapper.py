@@ -25,11 +25,12 @@ Implementation notes:
 * ``split_sub_values=False`` reproduces the paper's Example 3 strawman
   (routing whole values instead of sub-values) — an unsound formulation
   whose wrong mappings our independent verifier catches.
-* Rows are emitted through the blockwise API (``Model.add_rows``),
-  grouped per constraint family, so compilation to ``StandardForm`` is
-  O(nnz) array assembly.  Row order is part of the model's identity (it
-  steers the solver's search path); golden digests of the compiled form
-  pin it (``tests/mapper/test_formulation_digests.py``).
+* Rows are appended as column indices straight onto the model's row
+  store (``Model.sorted_row`` / ``Model.pairs_row``), so compilation to
+  ``StandardForm`` is O(nnz) array conversion.  Each row's label starts
+  with its constraint family.  Row order is part of the model's identity
+  (it steers the solver's search path); golden digests of the compiled
+  form pin it (``tests/mapper/test_formulation_digests.py``).
 * A solve that must prove optimality
   (:attr:`ILPMapperOptions.proves_optimality`) also gets arrival and
   in-flow rows: every integer solution satisfies them, and they lift the
@@ -57,7 +58,7 @@ from ..dfg.graph import DFG, Sink
 from ..dfg.validate import assert_valid
 from ..ilp.expr import Sense, Var
 from ..ilp.model import Model
-from ..ilp.solve import solve_form
+from ..ilp.solve import BACKENDS, solve_form
 from ..ilp.standard_form import StandardForm, compile_model
 from ..ilp.status import Solution, SolveStatus
 from ..mrrg.graph import MRRG, MRRGNode
@@ -72,7 +73,9 @@ class ILPMapperOptions:
     """Knobs of the ILP mapper.
 
     Attributes:
-        backend: "highs" (default) or "bnb" (the from-scratch solver).
+        backend: one of :data:`repro.ilp.solve.BACKENDS`: "highs"
+            (default) or "bnb" (the from-scratch solver).  Checked when
+            the options are made, not when a solve first needs it.
         time_limit: per-instance solver budget in seconds.
         split_sub_values: route per sub-value (sound, the paper's
             formulation).  False = Example 3's unsound whole-value mode.
@@ -101,6 +104,10 @@ class ILPMapperOptions:
     mux_exclusivity: bool = True
     mip_rel_gap: float | None = None
     require_registered_feedback: bool = False
+
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown ILP backend {self.backend!r}")
 
     @property
     def proves_optimality(self) -> bool:
@@ -160,29 +167,6 @@ class Formulation:
             "r3_vars_distinct": len(distinct_r3),
             "constraints": self.model.num_constraints,
         }
-
-
-class _BlockWriter:
-    """Hands out block emitters, one fresh block per family switch.
-
-    A new block is opened whenever the constraint family changes, so rows
-    keep their emission order across families: the global row order is
-    part of the model's identity and steers the solver (and therefore
-    which mapping it returns), while each row is an O(nnz) array append.
-    """
-
-    __slots__ = ("_model", "_family", "_emitter")
-
-    def __init__(self, model: Model):
-        self._model = model
-        self._family: str | None = None
-        self._emitter = None
-
-    def __call__(self, family: str):
-        if family != self._family:
-            self._emitter = self._model.add_rows(family)
-            self._family = family
-        return self._emitter
 
 
 def build_formulation(
@@ -266,7 +250,7 @@ def build_formulation(
     for op_name, fus in candidates.items():
         f_group_pos[op_name] = len(f_keys)
         f_keys.extend((fu.node_id, op_name) for fu in fus)
-    f_block, f_list = model.add_var_block("F", f_keys)
+    f_cols, f_list = model.add_var_block("F", f_keys)
     f_vars: dict[tuple[str, str], Var] = dict(zip(f_keys, f_list))
 
     # Emission order note: `usable`/`usable3`/`reach` are plain sets, and
@@ -281,7 +265,7 @@ def build_formulation(
         for producer, nodes in sorted_union.items()
         for node_id in nodes
     ]
-    r_block, r_list = model.add_var_block("R", r_keys)
+    r_cols, r_list = model.add_var_block("R", r_keys)
     r_vars: dict[tuple[str, str], Var] = dict(zip(r_keys, r_list))
 
     shared_of: dict[str, bool] = {}
@@ -296,7 +280,7 @@ def build_formulation(
                 (node_id, producer, snk)
                 for node_id in sorted_u3[(producer, snk)]
             )
-    r3_block, r3_list = model.add_var_block(
+    r3_cols, r3_list = model.add_var_block(
         "R3",
         r3_keys,
         name_fn=lambda _family, key: f"R[{key[0]}][{key[1]}][{key[2]}]",
@@ -314,16 +298,16 @@ def build_formulation(
     # straight out of the variable blocks (O(nnz) appends, no Var
     # objects on the hot path).
     # ------------------------------------------------------------------
-    _emit_rows_blockwise(
+    _emit_paper_rows(
         model, options, mrrg, candidates, terminal_ports, sinks_of, sorted_u3,
-        sorted_union, shared_of, f_group_pos, f_block, r_block, r3_block, f_vars,
+        sorted_union, shared_of, f_group_pos, f_cols, r_cols, r3_cols, f_vars,
     )
 
     result = Formulation(model, f_vars, r_vars, r3_vars, sinks_of)
 
-    # Registered-feedback rows follow rows (1)-(9) as one per-row segment,
-    # so turning the option on appends rows without reordering the
-    # paper's, and the family only exists when the option is on.
+    # Registered-feedback rows follow rows (1)-(9), so turning the option
+    # on appends rows without reordering the paper's, and the family only
+    # exists when the option is on.
     if options.require_registered_feedback:
         reg_ins = mrrg.register_inputs()
         for producer, sinks in sinks_of.items():
@@ -339,8 +323,8 @@ def build_formulation(
                         f"lies on any route from {producer!r} to {snk}"
                     )
                     return result
-                model.add_terms(
-                    [(r3_vars[(n, producer, snk)], 1.0) for n in nodes],
+                model.pairs_row(
+                    [(r3_vars[(n, producer, snk)].index, 1.0) for n in nodes],
                     Sense.GE,
                     1.0,
                     "registered_feedback",
@@ -369,8 +353,6 @@ def _emit_bound_rows(
     Every integer solution of rows (1)-(9) already satisfies them, so
     they only cut fractional LP points.
     """
-    writer = _BlockWriter(model)
-
     # Arrival: a sub-value ends on a terminal port of the FU hosting its
     # sink op (with (6), an equality: each FU has one such port).
     for (producer, snk), ports in terminal_ports.items():
@@ -384,11 +366,11 @@ def _emit_bound_rows(
             label = f"arrival[{fu.node_id}][{producer}][{snk}]"
             pairs = arrive.get(fu.node_id)
             if pairs is None:
-                writer("arrival").sorted_row(
+                model.sorted_row(
                     (f_index,), (1.0,), Sense.EQ, 0.0, label
                 )
             else:
-                writer("arrival").pairs_row(
+                model.pairs_row(
                     pairs + [(f_index, -1.0)], Sense.GE, 0.0, label
                 )
 
@@ -404,7 +386,7 @@ def _emit_bound_rows(
             fanins = route_fanins(node_id)
             if len(fanins) != 1:
                 continue
-            writer("inflow").pairs_row(
+            model.pairs_row(
                 [
                     (r3_vars[(node_id, producer, snk)].index, 1.0),
                     (r3_vars[(fanins[0], producer, snk)].index, -1.0),
@@ -415,7 +397,7 @@ def _emit_bound_rows(
             )
 
 
-def _emit_rows_blockwise(
+def _emit_paper_rows(
     model: Model,
     options: ILPMapperOptions,
     mrrg: MRRG,
@@ -426,12 +408,12 @@ def _emit_rows_blockwise(
     sorted_union: dict[str, list[str]],
     shared_of: dict[str, bool],
     f_group_pos: dict[str, int],
-    f_block,
-    r_block,
-    r3_block,
+    f_cols: range,
+    r_cols: range,
+    r3_cols: range,
     f_vars: dict[tuple[str, str], Var],
 ) -> None:
-    """Emit constraints (1)-(9) and objective (10) through row blocks.
+    """Emit constraints (1)-(9) and objective (10) onto ``model``.
 
     Works entirely on integer column indices: variable blocks are
     contiguous and created in a known order (F, then R, then R3), so
@@ -441,8 +423,6 @@ def _emit_rows_blockwise(
     model's identity: reordering any rows changes the golden form
     digests.
     """
-    writer = _BlockWriter(model)
-
     f_index = {key: var.index for key, var in f_vars.items()}
 
     # Per-producer (and per-sub-value) node -> column maps.  Blocks are
@@ -450,13 +430,13 @@ def _emit_rows_blockwise(
     # no Var objects involved.  Shared sub-values alias the producer's R
     # columns, restricted to the nodes the sub-value can actually use.
     r_index_by_prod: dict[str, dict[str, int]] = {}
-    pos = r_block.start
+    pos = r_cols.start
     for producer, nodes in sorted_union.items():
         r_index_by_prod[producer] = dict(zip(nodes, range(pos, pos + len(nodes))))
         pos += len(nodes)
 
     r3_index_by_sub: dict[tuple[str, Sink], dict[str, int]] = {}
-    pos = r3_block.start
+    pos = r3_cols.start
     for producer, sinks in sinks_of.items():
         if shared_of[producer]:
             r_sub = r_index_by_prod[producer]
@@ -475,15 +455,12 @@ def _emit_rows_blockwise(
 
     route_fanouts = mrrg.route_fanouts
 
-    # ``writer(family)`` is called at each emission point (not hoisted
-    # out of loops) so a family that emits no rows opens no block: the
-    # compiled form's ``blocks`` list only families that have rows.
     # (1) Operation Placement: every op on exactly one functional unit.
     # Candidate F columns are contiguous per op by construction.
     for op_name, fus in candidates.items():
-        start = f_block.start + f_group_pos[op_name]
+        start = f_cols.start + f_group_pos[op_name]
         count = len(fus)
-        writer("placement").sorted_row(
+        model.sorted_row(
             range(start, start + count),
             (1.0,) * count,
             Sense.EQ,
@@ -498,7 +475,7 @@ def _emit_rows_blockwise(
         by_fu.setdefault(fu_id, []).append(idx)
     for fu_id, idxs in by_fu.items():
         if len(idxs) > 1:
-            writer("fu_excl").sorted_row(
+            model.sorted_row(
                 idxs, (1.0,) * len(idxs), Sense.LE, 1.0, f"fu_excl[{fu_id}]"
             )
 
@@ -510,7 +487,7 @@ def _emit_rows_blockwise(
             by_node.setdefault(node_id, []).append(idx)
     for node_id, idxs in by_node.items():
         if len(idxs) > 1:
-            writer("route_excl").sorted_row(
+            model.sorted_row(
                 idxs, (1.0,) * len(idxs), Sense.LE, 1.0, f"route_excl[{node_id}]"
             )
 
@@ -549,7 +526,7 @@ def _emit_rows_blockwise(
                     fo = get(m)
                     if fo is not None:
                         pairs.append((fo, -1.0))
-                writer("fanout").pairs_row(
+                model.pairs_row(
                     pairs, Sense.LE, 0.0, f"fanout[{node_id}][{producer}]"
                 )
 
@@ -568,7 +545,7 @@ def _emit_rows_blockwise(
                             fi = f_index.get((fu_id, s.op))
                             if fi is not None:
                                 pairs.append((fi, -1.0))
-                        writer("implied").pairs_row(
+                        model.pairs_row(
                             pairs, Sense.LE, 0.0, f"implied[{port_id}][{producer}]"
                         )
             else:
@@ -577,7 +554,7 @@ def _emit_rows_blockwise(
                     var_idx = get(port_id)
                     if var_idx is None:
                         continue
-                    writer("implied").sorted_row(
+                    model.sorted_row(
                         (f_index[(fu_id, snk.op)], var_idx),
                         (-1.0, 1.0),
                         Sense.LE,
@@ -600,7 +577,7 @@ def _emit_rows_blockwise(
             if unroutable:
                 # The output cannot reach (all of) the sinks: placing the
                 # producer on this unit is impossible.
-                writer("unroutable").sorted_row(
+                model.sorted_row(
                     (fvar_idx,),
                     (1.0,),
                     Sense.EQ,
@@ -613,7 +590,7 @@ def _emit_rows_blockwise(
                 if idx is None or idx in emitted:
                     continue
                 emitted.add(idx)
-                writer("initial").sorted_row(
+                model.sorted_row(
                     (fvar_idx, idx),
                     (-1.0, 1.0),
                     Sense.EQ,
@@ -629,7 +606,7 @@ def _emit_rows_blockwise(
             for snk in sinks:
                 sub = r3_index_by_sub[(producer, snk)]
                 for node_id in sorted_u3[(producer, snk)]:
-                    writer("usage").sorted_row(
+                    model.sorted_row(
                         (r_sub[node_id], sub[node_id]),
                         (1.0, -1.0),
                         Sense.GE,
@@ -654,13 +631,13 @@ def _emit_rows_blockwise(
                         continue
                 else:
                     pairs.append((rvar_idx, -1.0))
-                writer("mux_excl").pairs_row(
+                model.pairs_row(
                     pairs, Sense.EQ, 0.0, f"mux_excl[{nid}][{producer}]"
                 )
 
     # (10) Objective: minimize routing resource usage.  R columns are
     # one contiguous block whose keys are (node id, producer) in order.
-    model.set_objective_terms(list(r_block.indices), [1.0] * r_block.size)
+    model.set_objective_terms(list(r_cols), [1.0] * len(r_cols))
 
 
 class ILPMapper(Mapper):

@@ -161,6 +161,14 @@ class TestEarlyInfeasibility:
         }
 
 
+def test_unknown_backend_rejected_when_options_are_made():
+    # Not after the screens, the build and the audit of the first
+    # instance that reaches the solver.
+    with pytest.raises(ValueError, match="unknown ILP backend 'gurobi'"):
+        ILPMapperOptions(backend="gurobi")
+    assert ILPMapperOptions(backend="bnb").backend == "bnb"
+
+
 def test_option_surface():
     """The mapper options are the paper's formulation plus its two
     ablations; re-adding a knob means editing this test."""
