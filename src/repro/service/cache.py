@@ -8,21 +8,37 @@ new line after it) and repeated stores of the same fingerprint are
 resolved last-writer-wins, without any locking — which suits the
 single-process, single-CPU deployment this repo targets.
 
+Every line starts with its fingerprint, ``{"fingerprint": "<fp>", ...}``,
+and the other keys (the entry's fields and ``version``) follow sorted, so
+a reader can tell whose entry a line holds from its first bytes.
+
 Lookups go through an in-memory offset index, one per shard: it maps
-each fingerprint to the byte offset of its latest valid line.  A shard's
-index is built the first time a lookup may find its fingerprint there
-(never at construction) and afterwards decodes only the complete lines
-appended since the last read, so a hit decodes one line and a miss
-decodes none.  A lookup whose fingerprint has no offset first scans the
-unread complete lines as bytes: without a backslash there, every JSON
-string is literal, so when the quoted fingerprint is not among them
-either, no line there carries it and the lookup misses without decoding
-or indexing anything.  The shard is indexed afresh when it shrank, when
-its inode changed, or when the line at a stored offset no longer carries
-the fingerprint asked for; its file size and inode are all the
-invalidation reads, never a clock.  The memory cost is one offset per
-stored fingerprint of the shards indexed so far; no index file is
-written, so the on-disk format is the shards alone.
+each fingerprint to the byte offset of its latest line.  A shard's index
+is built the first time a lookup may find its fingerprint there (never
+at construction) and afterwards reads only the complete lines appended
+since the last read.  A line is indexed from its prefix, undecoded, when
+it starts as above, holds no backslash (so every JSON string on it is
+literal and the value ends at the next quote), names ``"fingerprint"``
+exactly once (so no later key overrides the first) and the value is
+strict UTF-8.  Every other line (stores written before this line format,
+other writers, escaped or garbled lines) is decoded on its own.  A hit
+decodes and checks the one line at its offset; when that line does not
+give the fingerprint asked for (a broken line indexed from its prefix,
+or a shard rewritten in place), the shard is indexed afresh by decoding
+every line, so every lookup returns what a full scan would.  So on
+current-format lines a hit decodes one line, a shard's first hit
+included (~0.16 ms on a 40-entry, 110 KB shard on a 2-vCPU host), and a
+miss decodes none; other lines are decoded once, when first read.
+
+A lookup whose fingerprint has no offset first scans the unread complete
+lines as bytes: without a backslash there, every JSON string is literal,
+so when the quoted fingerprint is not among them either, no line there
+carries it and the lookup misses without decoding or indexing anything.
+The shard is indexed afresh when it shrank or when its inode changed;
+its file size and inode are all the invalidation reads, never a clock.
+The memory cost is one offset per stored fingerprint of the shards
+indexed so far; no index file is written, so the on-disk format is the
+shards alone.
 
 Entries round-trip :mod:`repro.mapper.serialize` mapping payloads, so a
 cache hit reconstructs the *same verdict and mapping* the original solve
@@ -84,9 +100,12 @@ class CacheEntry:
     certificate: dict[str, Any] | None = None
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["version"] = ENTRY_VERSION
-        return json.dumps(payload, sort_keys=True)
+        """One store line: the fingerprint first, then the other fields
+        and the version, keys sorted (see :func:`_prefix_fingerprint`)."""
+        fields = dict(vars(self), version=ENTRY_VERSION)
+        fingerprint = json.dumps(fields.pop("fingerprint"))
+        rest = json.dumps(fields, sort_keys=True)
+        return f'{{"fingerprint": {fingerprint}, {rest[1:]}'
 
     @classmethod
     def from_json(cls, line: str) -> "CacheEntry":
@@ -133,12 +152,25 @@ def entry_from_result(
     )
 
 
+def is_definitive(result: MapResult) -> bool:
+    """Whether ``result`` is a verdict the store keeps and serves: MAPPED
+    with its mapping, or a proven INFEASIBLE.
+
+    Timeouts and heuristic give-ups are retryable with a larger budget;
+    storing them would pin a transient failure onto a permanent key.
+    """
+    if result.status is MapStatus.MAPPED:
+        return result.mapping is not None
+    return result.status is MapStatus.INFEASIBLE and result.proven_optimal
+
+
 def result_from_entry(entry: CacheEntry, dfg: DFG, mrrg: MRRG) -> MapResult:
     """Reconstruct the original verdict against live DFG/MRRG objects.
 
     Raises:
         CacheError: when the stored mapping no longer matches the DFG or
-            MRRG (e.g. the fingerprint scheme missed a semantic change) —
+            MRRG (e.g. the fingerprint scheme missed a semantic change),
+            or the entry is no verdict :func:`is_definitive` accepts —
             callers treat this as a cache miss, never as a crash.
     """
     try:
@@ -151,7 +183,7 @@ def result_from_entry(entry: CacheEntry, dfg: DFG, mrrg: MRRG) -> MapResult:
             mapping = mapping_from_payload(entry.mapping, dfg, mrrg)
         except MappingFormatError as exc:
             raise CacheError(f"cached mapping does not load: {exc}") from None
-    return MapResult(
+    result = MapResult(
         status=status,
         mapping=mapping,
         objective=entry.objective,
@@ -161,6 +193,9 @@ def result_from_entry(entry: CacheEntry, dfg: DFG, mrrg: MRRG) -> MapResult:
         detail=entry.detail,
         certificate=entry.certificate,
     )
+    if not is_definitive(result):
+        raise CacheError(f"cached {status.value} entry is not a definitive verdict")
+    return result
 
 
 @dataclasses.dataclass
@@ -170,12 +205,42 @@ class _ShardIndex:
     Attributes:
         inode: inode of the shard file the offsets point into.
         end: byte offset just past the last complete line read.
-        offsets: fingerprint -> byte offset of its latest valid line.
+        offsets: fingerprint -> byte offset of its latest line that is a
+            valid entry or was indexed from its prefix.
     """
 
     inode: int
     end: int = 0
     offsets: dict[str, int] = dataclasses.field(default_factory=dict)
+
+
+#: How every line :meth:`CacheEntry.to_json` writes starts.
+_PREFIX = b'{"fingerprint": "'
+
+
+def _prefix_fingerprint(line: bytes) -> str | None:
+    """The fingerprint in a stored line's first key, read without decoding
+    the line; None when the line must be decoded to tell.
+
+    Read only when the line starts with :data:`_PREFIX`, holds no
+    backslash (every JSON string on it is literal, so the value ends at
+    the next quote), names ``"fingerprint"`` exactly once (no later key
+    overrides the first) and the value is strict UTF-8.  Whether the
+    line is a valid entry is left to the hit that decodes it.
+    """
+    if (
+        not line.startswith(_PREFIX)
+        or b"\\" in line
+        or line.count(b'"fingerprint"') != 1
+    ):
+        return None
+    end = line.find(b'"', len(_PREFIX))
+    if end < 0:
+        return None
+    try:
+        return line[len(_PREFIX):end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def _decode(line: bytes) -> CacheEntry | None:
@@ -189,26 +254,34 @@ def _decode(line: bytes) -> CacheEntry | None:
         return None
 
 
-def _read_shard(handle: BinaryIO, index: _ShardIndex) -> list[CacheEntry]:
-    """Every valid entry on the complete lines past ``index.end``, in
-    file order, recording each one's offset in ``index``.
+def _read_shard(
+    handle: BinaryIO, index: _ShardIndex, decode_all: bool = False
+) -> list[CacheEntry]:
+    """Record in ``index`` the offset of each entry on the complete lines
+    past ``index.end``; return the entries it decoded, in file order.
 
-    The one reader of shard files.  Each line is decoded on its own, so
-    a corrupt line costs only itself.  A last line without its newline
-    may still be being written: it is left for a later read.
+    The one reader of shard files.  A line whose fingerprint
+    :func:`_prefix_fingerprint` reads is indexed undecoded, unless
+    ``decode_all``; every other line is decoded on its own, so a corrupt
+    line costs only itself.  A last line without its newline may still
+    be being written: it is left for a later read.
     """
     entries = []
-    offset = index.end
-    handle.seek(offset)
-    for line in handle:
-        if not line.endswith(b"\n"):
-            break
-        entry = _decode(line)
-        if entry is not None:
-            index.offsets[entry.fingerprint] = offset
-            entries.append(entry)
-        offset += len(line)
-    index.end = offset
+    handle.seek(index.end)
+    unread = handle.read()
+    start = 0
+    while end := unread.find(b"\n", start) + 1:
+        line = unread[start:end]
+        fingerprint = None if decode_all else _prefix_fingerprint(line)
+        if fingerprint is None:
+            entry = _decode(line)
+            if entry is not None:
+                fingerprint = entry.fingerprint
+                entries.append(entry)
+        if fingerprint is not None:
+            index.offsets[fingerprint] = index.end + start
+        start = end
+    index.end += start
     return entries
 
 
@@ -253,14 +326,17 @@ class MappingCache:
             return None
         return index
 
-    def _index(self, shard: Path, handle: BinaryIO) -> _ShardIndex:
-        """The shard's index, caught up with the open file first."""
+    def _index(
+        self, shard: Path, handle: BinaryIO, decode_all: bool = False
+    ) -> _ShardIndex:
+        """The shard's index, caught up with the open file first; with
+        ``decode_all``, built afresh from every line, decoded."""
         status = os.fstat(handle.fileno())
-        index = self._valid_index(shard, status)
+        index = None if decode_all else self._valid_index(shard, status)
         if index is None:
             index = self._indexes[shard] = _ShardIndex(inode=status.st_ino)
         if status.st_size > index.end:
-            _read_shard(handle, index)
+            _read_shard(handle, index, decode_all)
         return index
 
     def _unread_miss(
@@ -305,9 +381,10 @@ class MappingCache:
             offset = self._index(shard, handle).offsets.get(fingerprint)
             entry = _entry_at(handle, offset, fingerprint)
             if offset is not None and entry is None:
-                # The line moved: the shard was rewritten in place.
-                del self._indexes[shard]
-                offset = self._index(shard, handle).offsets.get(fingerprint)
+                # A broken line indexed from its prefix, or a shard
+                # rewritten in place: what a full scan finds instead.
+                index = self._index(shard, handle, decode_all=True)
+                offset = index.offsets.get(fingerprint)
                 entry = _entry_at(handle, offset, fingerprint)
         return entry
 
@@ -327,7 +404,7 @@ class MappingCache:
         for shard in sorted(self.objects_dir.glob("*.jsonl")):
             with open(shard, "rb") as handle:
                 index = _ShardIndex(inode=os.fstat(handle.fileno()).st_ino)
-                for entry in _read_shard(handle, index):
+                for entry in _read_shard(handle, index, decode_all=True):
                     latest[entry.fingerprint] = entry
             self._indexes[shard] = index
         return list(latest.values())

@@ -29,10 +29,16 @@ from pathlib import Path
 
 from ..arch.module import Module
 from ..dfg.graph import DFG
-from ..mapper.base import MapResult, MapStatus
+from ..mapper.base import MapResult
 from ..mrrg.build import MRRGFactory
 from ..mrrg.graph import MRRG
-from .cache import CacheError, MappingCache, entry_from_result, result_from_entry
+from .cache import (
+    CacheError,
+    MappingCache,
+    entry_from_result,
+    is_definitive,
+    result_from_entry,
+)
 from .fingerprint import (
     ArchKey,
     canonical_module,
@@ -215,7 +221,7 @@ class MappingService:
         )
         result = outcome.result
 
-        if self.cache is not None and _cacheable(result):
+        if self.cache is not None and is_definitive(result):
             self.cache.put(
                 entry_from_result(fingerprint, result, stage=outcome.stage)
             )
@@ -231,14 +237,3 @@ class MappingService:
             stage=outcome.stage,
             degraded=outcome.degraded,
         )
-
-
-def _cacheable(result: MapResult) -> bool:
-    """Only definitive verdicts enter the store.
-
-    Timeouts and heuristic give-ups are retryable with a larger budget;
-    caching them would pin a transient failure onto a permanent key.
-    """
-    if result.status is MapStatus.MAPPED:
-        return True
-    return result.status is MapStatus.INFEASIBLE and result.proven_optimal

@@ -14,6 +14,7 @@ from repro.mapper import MapStatus
 from repro.mapper.greedy_mapper import GreedyMapper, GreedyMapperOptions
 from repro.mapper.serialize import mapping_to_json
 from repro.service.cache import (
+    ENTRY_VERSION,
     CacheEntry,
     CacheError,
     MappingCache,
@@ -98,6 +99,18 @@ class TestStore:
             assert reader.get(FP_B).objective == 2.0
             assert len(reader.entries()) == 2
             assert reader.stats()["entries"] == 2
+
+    def test_line_starts_with_its_fingerprint(self):
+        """The fingerprint is the first key; the others follow sorted, at
+        every depth, as ``json.dumps(sort_keys=True)`` sorts them."""
+        certificate = {"rule": "B001", "certificate": {"units": ["u"], "ops": []}}
+        stored = entry(status="infeasible", certificate=certificate)
+        line = stored.to_json()
+        assert line.startswith(f'{{"fingerprint": "{FP_A}", ')
+        payload = json.loads(line)
+        assert list(payload) == ["fingerprint", *sorted(set(payload) - {"fingerprint"})]
+        assert json.dumps(payload["certificate"]) == json.dumps(certificate, sort_keys=True)
+        assert CacheEntry.from_json(line) == stored
 
     @pytest.mark.parametrize(
         "text",
@@ -256,6 +269,9 @@ def full_scan(root, fingerprint):
     return found
 
 
+#: A valid JSON line that is no entry, with a backslash in a string.
+BACKSLASH_NOTE = b'{"note": "a\\\\b"}\n'
+
 GARBAGE = (
     b"{truncated json\n",
     b"\xff\xfe garbage\n",
@@ -264,7 +280,7 @@ GARBAGE = (
     b"null\n",
     b"\n",
     json.dumps({"version": 99, "fingerprint": FP_A}).encode() + b"\n",
-    b'{"note": "a\\\\b"}\n',
+    BACKSLASH_NOTE,
 )
 
 
@@ -277,6 +293,45 @@ def escaped_line(stored: CacheEntry) -> bytes:
     )
     assert CacheEntry.from_json(line) == stored
     return line.encode() + b"\n"
+
+
+def old_line(stored: CacheEntry) -> bytes:
+    """``stored`` as stores written before the fingerprint-first line
+    format hold it: every key sorted."""
+    return json.dumps(json.loads(stored.to_json()), sort_keys=True).encode() + b"\n"
+
+
+def broken_line(stored: CacheEntry, rng: random.Random) -> bytes:
+    """``stored``'s line cut short after its fingerprint: the current
+    prefix, a body that does not decode."""
+    line = stored.to_json().encode()
+    head = len(f'{{"fingerprint": {json.dumps(stored.fingerprint)}')
+    return line[: rng.randrange(head, len(line) - 1)] + b"\n"
+
+
+def twin_line(fingerprint: str, stored: CacheEntry) -> bytes:
+    """A line whose first key names ``fingerprint`` and whose second
+    ``"fingerprint"`` key, which a decoder keeps, names ``stored``'s."""
+    head = f'{{"fingerprint": {json.dumps(fingerprint)}, '
+    return (head + stored.to_json()[1:]).encode() + b"\n"
+
+
+def unescaped_line(stored: CacheEntry) -> bytes:
+    """``stored`` in the current format, its fingerprint written with
+    ``ensure_ascii=False``, as raw UTF-8."""
+    quoted = json.dumps(stored.fingerprint)
+    line = stored.to_json().replace(
+        quoted, json.dumps(stored.fingerprint, ensure_ascii=False), 1
+    )
+    return line.encode() + b"\n"
+
+
+def foreign_line(stored: CacheEntry) -> bytes:
+    """``stored`` in the current format under another entry version."""
+    ours = f'"version": {ENTRY_VERSION}}}'
+    line = stored.to_json()
+    assert line.endswith(ours)
+    return (line[: -len(ours)] + f'"version": {ENTRY_VERSION + 1}}}').encode() + b"\n"
 
 
 def counting_decodes(monkeypatch) -> list[str]:
@@ -294,9 +349,11 @@ def counting_decodes(monkeypatch) -> list[str]:
 
 class TestShardIndex:
     def test_index_agrees_with_full_scan(self, tmp_path):
-        """Random puts, foreign appends (some with escaped fingerprints),
-        garbage, torn and completed lines and shrunken shards: every
-        lookup equals the full scan, misses on unread shards included."""
+        """Random puts, foreign appends (escaped, unescaped non-ASCII,
+        old-format, foreign-version and twin-key lines), broken lines
+        with the current prefix, garbage, torn and completed lines and
+        shrunken shards: every lookup equals the full scan, misses on
+        unread shards included."""
         rng = random.Random(20261018)
         root = tmp_path / "cache"
         cache = MappingCache(root)
@@ -314,7 +371,8 @@ class TestShardIndex:
             kind = rng.choice(
                 (
                     "put", "put", "other", "escaped", "garbage", "tear",
-                    "complete", "shrink",
+                    "complete", "shrink", "broken", "twin", "unescaped",
+                    "foreign", "old",
                 )
             )
             # Mostly known fingerprints (last writer wins), some new ones.
@@ -326,6 +384,23 @@ class TestShardIndex:
                 seen.add(fp)
             elif kind == "escaped":
                 append(shard, escaped_line(entry(fp, objective=float(step))))
+                seen.add(fp)
+            elif kind == "broken":
+                append(shard, broken_line(entry(fp, objective=float(step)), rng))
+                seen.add(fp)
+            elif kind == "twin":
+                twin = f"{fp[:2]}{rng.randrange(step // 10 + 4):062x}"
+                append(shard, twin_line(fp, entry(twin, objective=float(step))))
+                seen.update((fp, twin))
+            elif kind == "unescaped":
+                wide = fp + rng.choice(("\u00e9", "\u00df\u20ac", "\U0001f600"))
+                append(shard, unescaped_line(entry(wide, objective=float(step))))
+                seen.add(wide)
+            elif kind == "foreign":
+                append(shard, foreign_line(entry(fp, objective=float(step))))
+                seen.add(fp)
+            elif kind == "old":
+                append(shard, old_line(entry(fp, objective=float(step))))
                 seen.add(fp)
             elif kind == "garbage":
                 append(shard, rng.choice(GARBAGE))
@@ -367,8 +442,13 @@ class TestShardIndex:
             # A fresh reader has read no shard: its first lookup on each,
             # stored or never stored, must equal the full scan too.
             fresh = MappingCache(root)
-            for prefix in prefixes:
-                fingerprint = f"{prefix}{rng.randrange(step // 10 + 8):062x}"
+            probes = [
+                f"{prefix}{rng.randrange(step // 10 + 8):062x}"
+                for prefix in prefixes
+            ]
+            if seen:
+                probes.append(rng.choice(sorted(seen)))
+            for fingerprint in probes:
                 assert fresh.get(fingerprint) == full_scan(root, fingerprint), (
                     f"step {step} ({kind}), unread shard: {fingerprint}"
                 )
@@ -447,7 +527,7 @@ class TestShardIndex:
         cache = MappingCache(tmp_path / "cache")
         assert decoded == []  # nothing is read at construction
         assert cache.get(stored[5]).objective == 5.0
-        assert len(decoded) == 41  # the first read indexes the shard
+        assert len(decoded) == 1  # the shard is indexed from line prefixes
         for i in (7, 39, 0):
             decoded.clear()
             assert cache.get(stored[i]).objective == float(i)
@@ -458,7 +538,7 @@ class TestShardIndex:
         writer.put(entry(stored[3], objective=99.0))
         decoded.clear()
         assert cache.get(stored[3]).objective == 99.0
-        assert len(decoded) == 2  # the appended line, then the hit
+        assert len(decoded) == 1  # the appended line is indexed undecoded
         decoded.clear()
         assert cache.get(stored[3]).objective == 99.0
         assert len(decoded) == 1
@@ -479,7 +559,7 @@ class TestShardIndex:
         assert cache.get("aa" + "f" * 62) is None
         assert decoded == []  # the bytes hold no backslash and not the key
         assert cache.get(stored[5]).objective == 5.0
-        assert len(decoded) == 41  # a possible hit indexes the shard
+        assert len(decoded) == 1  # a possible hit indexes the shard
         MappingCache(root).put(entry("aa" + "e" * 62, objective=1.0))
         decoded.clear()
         assert cache.get("aa" + "f" * 62) is None
@@ -502,14 +582,81 @@ class TestShardIndex:
         root = tmp_path / "cache"
         self._forty(root)
         with open(root / "objects" / "aa.jsonl", "ab") as handle:
-            handle.write(b'{"note": "a\\\\b"}\n')
+            handle.write(BACKSLASH_NOTE)
         decoded = counting_decodes(monkeypatch)
         cache = MappingCache(root)
         assert cache.get("aa" + "f" * 62) is None
-        assert len(decoded) == 41  # the shard is indexed as before
+        assert decoded == [BACKSLASH_NOTE.decode()]  # the shard is indexed
         decoded.clear()
         assert cache.get("aa" + "f" * 62) is None
         assert decoded == []
+
+    def test_first_hit_in_a_large_shard_decodes_one_line(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "cache"
+        writer = MappingCache(root)
+        stored = [f"aa{i:062x}" for i in range(400)]
+        for i, fp in enumerate(stored):
+            writer.put(entry(fp, objective=float(i)))
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get(stored[123]).objective == 123.0
+        assert len(decoded) == 1
+        decoded.clear()
+        assert cache.get(stored[399]).objective == 399.0
+        assert len(decoded) == 1
+
+    def test_old_format_shard_decodes_each_line_once(self, tmp_path, monkeypatch):
+        """A shard written before the fingerprint-first format: its first
+        hit decodes each old line once, and then the line it serves."""
+        root = tmp_path / "cache"
+        stored = self._forty(root)
+        shard = root / "objects" / "aa.jsonl"
+        old = [
+            old_line(CacheEntry.from_json(line))
+            for line in shard.read_text().splitlines()
+        ]
+        assert not any(line.startswith(b'{"fingerprint"') for line in old)
+        shard.write_bytes(b"".join(old))
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get(stored[5]).objective == 5.0
+        assert decoded == [line.decode() for line in old] + [old[5].decode()]
+        for i in (7, 39, 0):
+            decoded.clear()
+            assert cache.get(stored[i]).objective == float(i)
+            assert len(decoded) == 1
+        MappingCache(root).put(entry(stored[3], objective=99.0))
+        decoded.clear()
+        assert cache.get(stored[3]).objective == 99.0
+        assert len(decoded) == 1  # the appended line is indexed undecoded
+
+    @pytest.mark.parametrize("shape", ["broken", "foreign"])
+    def test_prefix_of_a_bad_line_falls_back_to_a_full_decode(
+        self, tmp_path, monkeypatch, shape
+    ):
+        """A current-format line that is no valid entry is indexed from
+        its prefix; the hit that reads it decodes the whole shard and
+        serves the earlier valid line, as a full scan would."""
+        root = tmp_path / "cache"
+        stored = self._forty(root)
+        newer = entry(stored[5], objective=99.0)
+        bad = (
+            broken_line(newer, random.Random(5))
+            if shape == "broken"
+            else foreign_line(newer)
+        )
+        with open(root / "objects" / "aa.jsonl", "ab") as handle:
+            handle.write(bad)
+        decoded = counting_decodes(monkeypatch)
+        cache = MappingCache(root)
+        assert cache.get(stored[5]).objective == 5.0
+        # the bad line, then every line of the shard, then the hit
+        assert len(decoded) == 1 + 41 + 1
+        decoded.clear()
+        assert cache.get(stored[5]).objective == 5.0
+        assert len(decoded) == 1
 
     def test_torn_line_with_the_key_stays_a_miss(self, tmp_path, monkeypatch):
         root = tmp_path / "cache"

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from repro.arch import GridSpec, build_grid
+from repro.arch.testsuite import paper_architecture
 from repro.dfg import DFGBuilder
+from repro.kernels.registry import kernel
 from repro.mapper import MapStatus
 from repro.service import (
     MapRequest,
@@ -15,7 +17,7 @@ from repro.service import (
     read_events,
     single_stage,
 )
-from repro.service.cache import entry_from_result
+from repro.service.cache import CacheEntry, entry_from_result
 from repro.service.fingerprint import fingerprint_request
 
 
@@ -178,6 +180,77 @@ class TestCaching:
         again = service.map_request(MapRequest(dfg, fabric, contexts=1))
         assert not again.cache_hit
         assert len(service.log.of_kind("stage-start")) == 2
+
+
+#: Stored lines no solve writes, by what is wrong with the verdict.
+UNSERVABLE = {
+    "mapped-without-mapping": dict(status="mapped", objective=5.0),
+    "unproven-infeasible": dict(status="infeasible", proven_optimal=False),
+    "timeout": dict(status="timeout"),
+}
+
+
+class TestServedVerdicts:
+    """Only a MAPPED entry with its mapping or a proven INFEASIBLE is
+    served; any other stored line is a stale entry, solved again."""
+
+    @staticmethod
+    def _request(contexts):
+        # 2x2-f on the 2x2 fabric: refuted by the bounds screen at one
+        # context, mapped by SA at two.
+        return MapRequest(
+            kernel("2x2-f"),
+            paper_architecture("homogeneous", "orthogonal", rows=2, cols=2),
+            contexts=contexts,
+        )
+
+    @pytest.mark.parametrize("shape", sorted(UNSERVABLE))
+    def test_entry_no_solve_stores_is_solved_again(self, tmp_path, shape):
+        service = MappingService(PortfolioConfig(), cache_dir=tmp_path / "cache")
+        request = self._request(contexts=1)
+        fingerprint = fingerprint_request(
+            request.arch, request.dfg, 1, service.portfolio.describe()
+        )
+        service.cache.put(CacheEntry(fingerprint=fingerprint, **UNSERVABLE[shape]))
+
+        served = service.map_request(request)
+        assert not served.cache_hit
+        assert served.result.status is MapStatus.INFEASIBLE
+        assert served.result.certificate is not None
+        assert [
+            e for e in service.log.of_kind("cache-miss")
+            if "not a definitive verdict" in e.fields.get("reason", "")
+        ]
+        again = service.map_request(request)
+        assert again.cache_hit
+        assert again.result.status is MapStatus.INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "contexts, status", [(1, MapStatus.INFEASIBLE), (2, MapStatus.MAPPED)]
+    )
+    def test_definitive_verdicts_round_trip(self, tmp_path, contexts, status):
+        root = tmp_path / "cache"
+        first = MappingService(PortfolioConfig(), cache_dir=root).map_request(
+            self._request(contexts)
+        )
+        assert not first.cache_hit
+        assert first.result.status is status
+
+        served = MappingService(PortfolioConfig(), cache_dir=root).map_request(
+            self._request(contexts)
+        )
+        assert served.cache_hit
+        assert served.stage == first.stage
+        assert served.result.status is status
+        assert served.result.objective == first.result.objective
+        assert served.result.certificate == first.result.certificate
+        if status is MapStatus.MAPPED:
+            assert (
+                served.result.mapping.placement
+                == first.result.mapping.placement
+            )
+        else:
+            assert served.result.certificate is not None
 
 
 class TestServicePipeline:
